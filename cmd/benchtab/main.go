@@ -9,9 +9,10 @@
 //	benchtab                 # everything
 //	benchtab -exp table1     # one experiment: table1 table2 fig3 fig4
 //	                         # switch switchscale ablation chaos ...
-//	benchtab -exp switchscale -json -baseline BENCH_baseline.json
-//	                         # regenerate the switch-latency trajectory,
-//	                         # write BENCH_switch.json, diff vs baseline
+//	benchtab -exp switchscale -json
+//	                         # regenerate the switch-latency trajectory
+//	                         # into BENCH_switch.json; CI then runs
+//	                         # git diff --exit-code on the file
 package main
 
 import (
@@ -41,12 +42,8 @@ func main() {
 		"collect telemetry and write per-configuration metric dumps (JSON)")
 	metricsDir := flag.String("metricsdir", ".", "directory for -metrics dump files")
 	jsonOut := flag.Bool("json", false,
-		"write machine-readable results: BENCH_switch.json (switchscale), BENCH_table1/2.json, BENCH_fig3/4.json")
+		"write machine-readable results: BENCH_switch.json (switchscale), BENCH_<exp>.json (batching, migrate, fork, fleet, io, mc, divergence), BENCH_table1/2.json, BENCH_fig3/4.json")
 	jsonDir := flag.String("jsondir", ".", "directory for -json result files")
-	baseline := flag.String("baseline", "",
-		"committed baseline to diff the selected sweep against (exit 1 on breach): BENCH_baseline.json for -exp switchscale, BENCH_migrate.json for -exp migrate, BENCH_fork.json for -exp fork, BENCH_fleet.json for -exp fleet, BENCH_io.json for -exp io, BENCH_divergence.json for -exp divergence, BENCH_mc.json for -exp mc")
-	tolerance := flag.Float64("tolerance", 25,
-		"allowed per-point cycle deviation vs -baseline, percent")
 	policyName := flag.String("policy", "recompute",
 		"tracking policy for switch/chaos experiments: recompute, active, journal")
 	migrateFaults := flag.Bool("migrate", false,
@@ -205,28 +202,8 @@ func main() {
 			log.Fatal(err)
 		}
 		bench.WriteSwitchScale(os.Stdout, pts)
-		if *jsonOut {
-			path := filepath.Join(*jsonDir, "BENCH_switch.json")
-			if err := bench.WriteSwitchBaseline(path, pts); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-		if *baseline != "" {
-			base, err := bench.LoadSwitchBaseline(*baseline)
-			if err != nil {
-				log.Fatal(err)
-			}
-			violations := bench.CompareSwitchBaseline(base, pts, *tolerance)
-			if len(violations) > 0 {
-				for _, v := range violations {
-					fmt.Fprintf(os.Stderr, "baseline breach: %s\n", v)
-				}
-				os.Exit(1)
-			}
-			fmt.Printf("baseline %s held within %.0f%% on all %d points\n",
-				*baseline, *tolerance, len(pts))
-		}
+		writeJSON("BENCH_switch.json",
+			bench.SwitchBaseline{Schema: bench.SwitchBaselineSchema, Scale: pts})
 		fmt.Println()
 	}
 	if run("paging") {
@@ -255,40 +232,13 @@ func main() {
 		}
 		bench.WriteBatchingAblation(os.Stdout, r)
 		fmt.Println()
-		// Load the committed baseline before writing the fresh sweep:
-		// with -json both use the BENCH_batching.json name, and a
-		// compare against a just-overwritten file would always pass.
-		var batchBase *bench.BatchingBaseline
-		if *baseline != "" && strings.EqualFold(*exp, "batching") {
-			b, err := bench.LoadBatchingBaseline(*baseline)
-			if err != nil {
-				log.Fatal(err)
-			}
-			batchBase = b
-		}
 		pts, err := bench.BatchingSweep()
 		if err != nil {
 			log.Fatal(err)
 		}
 		bench.WriteBatchingSweep(os.Stdout, pts)
-		if *jsonOut {
-			path := filepath.Join(*jsonDir, "BENCH_batching.json")
-			if err := bench.WriteBatchingBaseline(path, pts); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-		if batchBase != nil {
-			violations := bench.CompareBatchingBaseline(batchBase, pts, *tolerance)
-			if len(violations) > 0 {
-				for _, v := range violations {
-					fmt.Fprintf(os.Stderr, "baseline breach: %s\n", v)
-				}
-				os.Exit(1)
-			}
-			fmt.Printf("baseline %s held (exact VMM-entry counts matched, cycles within %.0f%%) on all %d points\n",
-				*baseline, *tolerance, len(pts))
-		}
+		writeJSON("BENCH_batching.json",
+			bench.BatchingBaseline{Schema: bench.BatchingSchema, Points: pts})
 		fmt.Println()
 	}
 	if run("emulation") {
@@ -311,154 +261,46 @@ func main() {
 	}
 	if run("fleet") {
 		any = true
-		// Load before writing: with -json the fresh sweep overwrites
-		// the same BENCH_fleet.json name the baseline was read from.
-		var fleetBase *bench.FleetBaseline
-		if *baseline != "" && strings.EqualFold(*exp, "fleet") {
-			b, err := bench.LoadFleetBaseline(*baseline)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fleetBase = b
-		}
 		pts, err := bench.FleetSweep(bench.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		bench.WriteFleetSweep(os.Stdout, pts)
-		if *jsonOut {
-			path := filepath.Join(*jsonDir, "BENCH_fleet.json")
-			if err := bench.WriteFleetBaseline(path, pts); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-		if fleetBase != nil {
-			violations := bench.CompareFleetBaseline(fleetBase, pts, *tolerance)
-			if len(violations) > 0 {
-				for _, v := range violations {
-					fmt.Fprintf(os.Stderr, "baseline breach: %s\n", v)
-				}
-				os.Exit(1)
-			}
-			fmt.Printf("baseline %s held within %.0f%% on all %d points\n",
-				*baseline, *tolerance, len(pts))
-		}
+		writeJSON("BENCH_fleet.json",
+			bench.FleetBaseline{Schema: bench.FleetBaselineSchema, Sweep: pts})
 		fmt.Println()
 	}
-
 	if run("fork") {
 		any = true
-		// Load the committed baseline before writing the fresh sweep:
-		// with -json both use the BENCH_fork.json name, and a compare
-		// against a just-overwritten file would always pass.
-		var forkBase *bench.ForkBaseline
-		if *baseline != "" && strings.EqualFold(*exp, "fork") {
-			b, err := bench.LoadForkBaseline(*baseline)
-			if err != nil {
-				log.Fatal(err)
-			}
-			forkBase = b
-		}
 		pts, err := bench.ForkSweep(bench.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		bench.WriteForkSweep(os.Stdout, pts)
-		if *jsonOut {
-			path := filepath.Join(*jsonDir, "BENCH_fork.json")
-			if err := bench.WriteForkBaseline(path, pts); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-		if forkBase != nil {
-			violations := bench.CompareForkBaseline(forkBase, pts, *tolerance)
-			if len(violations) > 0 {
-				for _, v := range violations {
-					fmt.Fprintf(os.Stderr, "baseline breach: %s\n", v)
-				}
-				os.Exit(1)
-			}
-			fmt.Printf("baseline %s held (exact sharing counts matched, cycles within %.0f%%) on all %d points\n",
-				*baseline, *tolerance, len(pts))
-		}
+		writeJSON("BENCH_fork.json",
+			bench.ForkBaseline{Schema: bench.ForkBaselineSchema, Sweep: pts})
 		fmt.Println()
 	}
 	if run("io") {
 		any = true
-		// Load the committed baseline before writing the fresh sweep:
-		// with -json both use the BENCH_io.json name, and a compare
-		// against a just-overwritten file would always pass.
-		var ioBase *bench.IOBaseline
-		if *baseline != "" && strings.EqualFold(*exp, "io") {
-			b, err := bench.LoadIOBaseline(*baseline)
-			if err != nil {
-				log.Fatal(err)
-			}
-			ioBase = b
-		}
 		pts, sw, err := bench.IOSweep(bench.Options{Policy: policy})
 		if err != nil {
 			log.Fatal(err)
 		}
 		bench.WriteIOSweep(os.Stdout, pts, sw)
-		if *jsonOut {
-			path := filepath.Join(*jsonDir, "BENCH_io.json")
-			if err := bench.WriteIOBaseline(path, pts, sw); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-		if ioBase != nil {
-			violations := bench.CompareIOBaseline(ioBase, pts, sw, *tolerance)
-			if len(violations) > 0 {
-				for _, v := range violations {
-					fmt.Fprintf(os.Stderr, "baseline breach: %s\n", v)
-				}
-				os.Exit(1)
-			}
-			fmt.Printf("baseline %s held (exact request/doorbell counts matched, cycles within %.0f%%) on all %d points\n",
-				*baseline, *tolerance, len(pts))
-		}
+		writeJSON("BENCH_io.json",
+			bench.IOBaseline{Schema: bench.IOBaselineSchema, Sweep: pts, Switch: sw})
 		fmt.Println()
 	}
 	if run("migrate") {
 		any = true
-		// Load the committed baseline before writing the fresh sweep:
-		// with -json both use the BENCH_migrate.json name, and a
-		// compare against a just-overwritten file would always pass.
-		var migBase *bench.MigrateBaseline
-		if *baseline != "" && strings.EqualFold(*exp, "migrate") {
-			b, err := bench.LoadMigrateBaseline(*baseline)
-			if err != nil {
-				log.Fatal(err)
-			}
-			migBase = b
-		}
 		pts, err := bench.MigrateSweep(bench.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		bench.WriteMigrateSweep(os.Stdout, pts)
-		if *jsonOut {
-			path := filepath.Join(*jsonDir, "BENCH_migrate.json")
-			if err := bench.WriteMigrateBaseline(path, pts); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-		if migBase != nil {
-			violations := bench.CompareMigrateBaseline(migBase, pts, *tolerance)
-			if len(violations) > 0 {
-				for _, v := range violations {
-					fmt.Fprintf(os.Stderr, "baseline breach: %s\n", v)
-				}
-				os.Exit(1)
-			}
-			fmt.Printf("baseline %s held within %.0f%% on all %d points\n",
-				*baseline, *tolerance, len(pts))
-		}
+		writeJSON("BENCH_migrate.json",
+			bench.MigrateBaseline{Schema: bench.MigrateBaselineSchema, Sweep: pts})
 		fmt.Println()
 	}
 	if run("chaos") {
@@ -491,80 +333,23 @@ func main() {
 	}
 	if run("mc") {
 		any = true
-		// Load the committed baseline before writing the fresh suite:
-		// with -json both use the BENCH_mc.json name, and a compare
-		// against a just-overwritten file would always pass.
-		var mcBase *mc.Baseline
-		if *baseline != "" && strings.EqualFold(*exp, "mc") {
-			b, err := mc.LoadBaseline(*baseline)
-			if err != nil {
-				log.Fatal(err)
-			}
-			mcBase = b
-		}
 		rows, err := mc.BenchSuite()
 		if err != nil {
 			log.Fatal(err)
 		}
 		mc.WriteBenchTable(os.Stdout, rows)
-		if *jsonOut {
-			path := filepath.Join(*jsonDir, "BENCH_mc.json")
-			if err := mc.WriteBaseline(path, rows); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-		if mcBase != nil {
-			violations := mc.CompareBaseline(mcBase, rows)
-			if len(violations) > 0 {
-				for _, v := range violations {
-					fmt.Fprintf(os.Stderr, "baseline breach: %s\n", v)
-				}
-				os.Exit(1)
-			}
-			fmt.Printf("baseline %s held exactly on all %d rows\n",
-				*baseline, len(rows))
-		}
+		writeJSON("BENCH_mc.json", mc.Baseline{Schema: mc.BaselineSchema, Rows: rows})
 		fmt.Println()
 	}
 	if run("divergence") {
 		any = true
-		// Load the committed baseline before writing the fresh report:
-		// with -json both use the BENCH_divergence.json name, and a
-		// compare against a just-overwritten file would always pass.
-		var divBase *divergence.Report
-		if *baseline != "" && strings.EqualFold(*exp, "divergence") {
-			data, err := os.ReadFile(*baseline)
-			if err != nil {
-				log.Fatal(err)
-			}
-			b, err := divergence.LoadReport(data)
-			if err != nil {
-				log.Fatal(err)
-			}
-			divBase = b
-		}
 		rep, err := divergence.Run(divergence.Config{Seed: *seed, Ops: *divOps})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if divBase != nil {
-			// Carry the committed budget into the regenerated file so a
-			// refresh does not silently drop the ceiling.
-			rep.NativeTaxBudgetPct = divBase.NativeTaxBudgetPct
-		}
 		rep.WriteText(os.Stdout)
+		writeJSON("BENCH_divergence.json", rep)
 		if *jsonOut {
-			path := filepath.Join(*jsonDir, "BENCH_divergence.json")
-			f, err := os.Create(path)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				log.Fatal(err)
-			}
-			f.Close()
-			fmt.Printf("wrote %s\n", path)
 			mdPath := filepath.Join(*jsonDir, "divergence_report.md")
 			mf, err := os.Create(mdPath)
 			if err != nil {
@@ -574,16 +359,11 @@ func main() {
 			mf.Close()
 			fmt.Printf("wrote %s\n", mdPath)
 		}
-		if divBase != nil {
-			violations := divergence.Compare(divBase, rep)
-			if len(violations) > 0 {
-				for _, v := range violations {
-					fmt.Fprintf(os.Stderr, "baseline breach: %s\n", v)
-				}
-				os.Exit(1)
-			}
-			fmt.Printf("baseline %s held (exact counts matched, drift within %.0f%%, native tax %.2f%% <= budget %.2f%%)\n",
-				*baseline, divBase.TolerancePct, rep.NativeTaxPct, divBase.NativeTaxBudgetPct)
+		// The budget is a constant, so this gate holds with or without
+		// a committed report and survives any regeneration.
+		if err := rep.CheckNativeTax(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
 		fmt.Println()
 	}

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/guest"
 	"repro/internal/hw"
@@ -192,99 +190,4 @@ func WriteBatchingSweep(w io.Writer, pts []BatchingPoint) {
 			p.Mix, p.Ops, p.PerOpCycles, p.BatchedCycles,
 			p.PerOpEntries, p.BatchedEntries, p.Speedup)
 	}
-}
-
-// WriteBatchingBaseline writes the sweep to path as indented JSON.
-func WriteBatchingBaseline(path string, pts []BatchingPoint) error {
-	b := BatchingBaseline{Schema: BatchingSchema, Points: pts}
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return fmt.Errorf("bench: encoding batching baseline: %w", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("bench: writing batching baseline: %w", err)
-	}
-	return nil
-}
-
-// LoadBatchingBaseline reads a committed batching baseline.
-func LoadBatchingBaseline(path string) (*BatchingBaseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("bench: reading batching baseline: %w", err)
-	}
-	var b BatchingBaseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("bench: decoding batching baseline %s: %w", path, err)
-	}
-	if b.Schema != BatchingSchema {
-		return nil, fmt.Errorf("bench: batching baseline %s has schema %q, want %q",
-			path, b.Schema, BatchingSchema)
-	}
-	return &b, nil
-}
-
-// CompareBatchingBaseline diffs a fresh sweep against the committed
-// baseline: VMM-entry and TLB-flush counts must match exactly (they are
-// protocol facts, not timings), cycle fields within tolerancePct.
-func CompareBatchingBaseline(base *BatchingBaseline, fresh []BatchingPoint, tolerancePct float64) []string {
-	type key struct {
-		mix string
-		ops int
-	}
-	idx := make(map[key]BatchingPoint, len(base.Points))
-	for _, pt := range base.Points {
-		idx[key{pt.Mix, pt.Ops}] = pt
-	}
-	var violations []string
-	exact := func(k key, field string, want, got uint64) {
-		if want != got {
-			violations = append(violations,
-				fmt.Sprintf("%s/%d %s: baseline %d, measured %d (exact match required)",
-					k.mix, k.ops, field, want, got))
-		}
-	}
-	approx := func(k key, field string, want, got uint64) {
-		if want == 0 {
-			if got != 0 {
-				violations = append(violations,
-					fmt.Sprintf("%s/%d %s: baseline 0, measured %d", k.mix, k.ops, field, got))
-			}
-			return
-		}
-		dev := (float64(got) - float64(want)) / float64(want) * 100
-		if dev < 0 {
-			dev = -dev
-		}
-		if dev > tolerancePct {
-			violations = append(violations,
-				fmt.Sprintf("%s/%d %s: baseline %d, measured %d (%.1f%% > %.1f%% tolerance)",
-					k.mix, k.ops, field, want, got, dev, tolerancePct))
-		}
-	}
-	seen := make(map[key]bool, len(fresh))
-	for _, pt := range fresh {
-		k := key{pt.Mix, pt.Ops}
-		seen[k] = true
-		want, ok := idx[k]
-		if !ok {
-			violations = append(violations,
-				fmt.Sprintf("%s/%d: not in baseline", k.mix, k.ops))
-			continue
-		}
-		approx(k, "per_op_cycles", want.PerOpCycles, pt.PerOpCycles)
-		approx(k, "batched_cycles", want.BatchedCycles, pt.BatchedCycles)
-		exact(k, "per_op_vmm_entries", want.PerOpEntries, pt.PerOpEntries)
-		exact(k, "batched_vmm_entries", want.BatchedEntries, pt.BatchedEntries)
-		exact(k, "per_op_tlb_flushes", want.PerOpTLBFlushes, pt.PerOpTLBFlushes)
-		exact(k, "batched_tlb_flushes", want.BatchedFlushes, pt.BatchedFlushes)
-	}
-	for k := range idx {
-		if !seen[k] {
-			violations = append(violations,
-				fmt.Sprintf("%s/%d: in baseline but not measured", k.mix, k.ops))
-		}
-	}
-	return violations
 }

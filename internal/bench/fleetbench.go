@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/fleet"
 )
@@ -117,100 +115,9 @@ func WriteFleetSweep(w io.Writer, pts []FleetPoint) {
 // FleetBaselineSchema versions the committed fleet baseline.
 const FleetBaselineSchema = "mercury-bench/fleet/v1"
 
-// FleetBaseline is the serialized sweep: committed at the repo root as
-// BENCH_fleet.json and diffed in CI like the switch and migration
-// baselines.
+// FleetBaseline is the serialized sweep, committed at the repo root as
+// BENCH_fleet.json.
 type FleetBaseline struct {
 	Schema string       `json:"schema"`
 	Sweep  []FleetPoint `json:"sweep"`
-}
-
-// WriteFleetBaseline writes the sweep to path as indented JSON.
-func WriteFleetBaseline(path string, pts []FleetPoint) error {
-	return WriteJSONFile(path, FleetBaseline{Schema: FleetBaselineSchema, Sweep: pts})
-}
-
-// LoadFleetBaseline reads a committed baseline.
-func LoadFleetBaseline(path string) (*FleetBaseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("bench: reading fleet baseline: %w", err)
-	}
-	var b FleetBaseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("bench: decoding fleet baseline %s: %w", path, err)
-	}
-	if b.Schema != FleetBaselineSchema {
-		return nil, fmt.Errorf("bench: fleet baseline %s has schema %q, want %q",
-			path, b.Schema, FleetBaselineSchema)
-	}
-	return &b, nil
-}
-
-// CompareFleetBaseline diffs a fresh sweep against the committed
-// baseline. Points are matched by (nodes, batch, arrival). Admission
-// outcomes — completions, tick count, high-water marks — are
-// scheduling decisions on a deterministic simulation and must match
-// exactly; the cycle means may deviate by tolerancePct.
-func CompareFleetBaseline(base *FleetBaseline, fresh []FleetPoint, tolerancePct float64) []string {
-	type key struct{ nodes, batch, arrival int }
-	idx := make(map[key]FleetPoint, len(base.Sweep))
-	for _, pt := range base.Sweep {
-		idx[key{pt.Nodes, pt.BatchSize, pt.Arrival}] = pt
-	}
-
-	var violations []string
-	exact := func(k key, field string, want, got int64) {
-		if want != got {
-			violations = append(violations,
-				fmt.Sprintf("%dn/%db/%da %s: baseline %d, measured %d (exact field)",
-					k.nodes, k.batch, k.arrival, field, want, got))
-		}
-	}
-	cycles := func(k key, field string, want, got uint64) {
-		if want == 0 {
-			if got != 0 {
-				violations = append(violations,
-					fmt.Sprintf("%dn/%db/%da %s: baseline 0, measured %d",
-						k.nodes, k.batch, k.arrival, field, got))
-			}
-			return
-		}
-		dev := (float64(got) - float64(want)) / float64(want) * 100
-		if dev < 0 {
-			dev = -dev
-		}
-		if dev > tolerancePct {
-			violations = append(violations,
-				fmt.Sprintf("%dn/%db/%da %s: baseline %d, measured %d (%.1f%% > %.1f%% tolerance)",
-					k.nodes, k.batch, k.arrival, field, want, got, dev, tolerancePct))
-		}
-	}
-	seen := make(map[key]bool, len(fresh))
-	for _, pt := range fresh {
-		k := key{pt.Nodes, pt.BatchSize, pt.Arrival}
-		seen[k] = true
-		want, ok := idx[k]
-		if !ok {
-			violations = append(violations,
-				fmt.Sprintf("%dn/%db/%da: not in baseline", k.nodes, k.batch, k.arrival))
-			continue
-		}
-		exact(k, "max_virtual", int64(want.MaxVirtual), int64(pt.MaxVirtual))
-		exact(k, "completed", int64(want.Completed), int64(pt.Completed))
-		exact(k, "ticks", want.Ticks, pt.Ticks)
-		exact(k, "max_in_use", int64(want.MaxInUse), int64(pt.MaxInUse))
-		exact(k, "max_queue_depth", int64(want.MaxQueueDepth), int64(pt.MaxQueueDepth))
-		exact(k, "rejected", int64(want.Rejected), int64(pt.Rejected))
-		cycles(k, "mean_attach_cyc", want.MeanAttachCyc, pt.MeanAttachCyc)
-		cycles(k, "mean_detach_cyc", want.MeanDetachCyc, pt.MeanDetachCyc)
-		cycles(k, "mean_action_cyc", want.MeanActionCyc, pt.MeanActionCyc)
-	}
-	for k := range idx {
-		if !seen[k] {
-			violations = append(violations,
-				fmt.Sprintf("%dn/%db/%da: in baseline but not measured", k.nodes, k.batch, k.arrival))
-		}
-	}
-	return violations
 }

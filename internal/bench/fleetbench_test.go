@@ -1,12 +1,9 @@
 package bench
 
-import (
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // TestFleetSweepSmoke runs a reduced sweep and checks the admission
-// bound and baseline round-trip machinery.
+// bound.
 func TestFleetSweepSmoke(t *testing.T) {
 	defer func(n, b, a []int) { FleetNodes, FleetBatches, FleetArrivals = n, b, a }(
 		FleetNodes, FleetBatches, FleetArrivals)
@@ -35,26 +32,6 @@ func TestFleetSweepSmoke(t *testing.T) {
 		}
 	}
 
-	// Baseline round trip: identical sweep diffs clean.
-	path := filepath.Join(t.TempDir(), "BENCH_fleet.json")
-	if err := WriteFleetBaseline(path, pts); err != nil {
-		t.Fatal(err)
-	}
-	base, err := LoadFleetBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := CompareFleetBaseline(base, pts, 1); len(v) != 0 {
-		t.Fatalf("self-compare violations: %v", v)
-	}
-
-	// A drifted algorithmic field must be an exact-match breach.
-	drift := make([]FleetPoint, len(pts))
-	copy(drift, pts)
-	drift[0].Completed++
-	if v := CompareFleetBaseline(base, drift, 100); len(v) == 0 {
-		t.Fatal("drifted completion count passed the diff")
-	}
 }
 
 // TestFleetSweepDeterminism: the same cell twice gives identical

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/fork"
 	"repro/internal/hw"
@@ -183,113 +181,9 @@ func WriteForkSweep(w io.Writer, pts []ForkPoint) {
 // ForkBaselineSchema versions the committed fork baseline.
 const ForkBaselineSchema = "mercury-bench/fork/v1"
 
-// ForkBaseline is the serialized sweep: committed at the repo root as
-// BENCH_fork.json and diffed in CI like the other baselines.
+// ForkBaseline is the serialized sweep, committed at the repo root as
+// BENCH_fork.json.
 type ForkBaseline struct {
 	Schema string      `json:"schema"`
 	Sweep  []ForkPoint `json:"sweep"`
-}
-
-// WriteForkBaseline writes the sweep to path as indented JSON.
-func WriteForkBaseline(path string, pts []ForkPoint) error {
-	b := ForkBaseline{Schema: ForkBaselineSchema, Sweep: pts}
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return fmt.Errorf("bench: encoding fork baseline: %w", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("bench: writing fork baseline: %w", err)
-	}
-	return nil
-}
-
-// LoadForkBaseline reads a committed fork baseline.
-func LoadForkBaseline(path string) (*ForkBaseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("bench: reading fork baseline: %w", err)
-	}
-	var b ForkBaseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("bench: decoding fork baseline %s: %w", path, err)
-	}
-	if b.Schema != ForkBaselineSchema {
-		return nil, fmt.Errorf("bench: fork baseline %s has schema %q, want %q",
-			path, b.Schema, ForkBaselineSchema)
-	}
-	return &b, nil
-}
-
-// CompareForkBaseline diffs a fresh sweep against the committed
-// baseline. Points match by (pages, clones, dirty_pages); the sharing
-// counts, dedup ratio, and leak count must match exactly (they are
-// algorithmic outcomes of a deterministic simulation), while the cycle
-// means may drift by tolerancePct.
-func CompareForkBaseline(base *ForkBaseline, fresh []ForkPoint, tolerancePct float64) []string {
-	type key struct {
-		pages  int
-		clones int
-		dirty  int
-	}
-	idx := make(map[key]ForkPoint, len(base.Sweep))
-	for _, pt := range base.Sweep {
-		idx[key{pt.Pages, pt.Clones, pt.DirtyPages}] = pt
-	}
-
-	var violations []string
-	name := func(k key) string {
-		return fmt.Sprintf("%dpg/%dclones/%ddirty", k.pages, k.clones, k.dirty)
-	}
-	cycles := func(k key, field string, want, got uint64) {
-		if want == 0 {
-			if got != 0 {
-				violations = append(violations,
-					fmt.Sprintf("%s %s: baseline 0, measured %d", name(k), field, got))
-			}
-			return
-		}
-		dev := (float64(got) - float64(want)) / float64(want) * 100
-		if dev < 0 {
-			dev = -dev
-		}
-		if dev > tolerancePct {
-			violations = append(violations,
-				fmt.Sprintf("%s %s: baseline %d, measured %d (%.1f%% > %.1f%% tolerance)",
-					name(k), field, want, got, dev, tolerancePct))
-		}
-	}
-	exact := func(k key, field string, want, got any) {
-		if want != got {
-			violations = append(violations,
-				fmt.Sprintf("%s %s: baseline %v, measured %v", name(k), field, want, got))
-		}
-	}
-	seen := make(map[key]bool, len(fresh))
-	for _, pt := range fresh {
-		k := key{pt.Pages, pt.Clones, pt.DirtyPages}
-		seen[k] = true
-		want, ok := idx[k]
-		if !ok {
-			violations = append(violations, fmt.Sprintf("%s: not in baseline", name(k)))
-			continue
-		}
-		exact(k, "base_frames", want.BaseFrames, pt.BaseFrames)
-		exact(k, "store_frames", want.StoreFrames, pt.StoreFrames)
-		exact(k, "store_bytes", want.StoreBytes, pt.StoreBytes)
-		exact(k, "shared_total", want.SharedTotal, pt.SharedTotal)
-		exact(k, "promoted_total", want.PromotedTotal, pt.PromotedTotal)
-		exact(k, "delta_frames_total", want.DeltaTotal, pt.DeltaTotal)
-		exact(k, "dedup_ratio", want.DedupRatio, pt.DedupRatio)
-		exact(k, "ref_leaks", want.RefLeaks, pt.RefLeaks)
-		cycles(k, "clone_cyc_mean", want.CloneCycMean, pt.CloneCycMean)
-		cycles(k, "delta_cyc_mean", want.DeltaCycMean, pt.DeltaCycMean)
-	}
-	for k := range idx {
-		if !seen[k] {
-			violations = append(violations,
-				fmt.Sprintf("%s: in baseline but not measured", name(k)))
-		}
-	}
-	return violations
 }

@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"path/filepath"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestForkPointSharingCounts(t *testing.T) {
 	const pages, clones, dirty = 64, 8, 4
@@ -54,32 +50,9 @@ func TestForkBaselineRoundTripAndCompare(t *testing.T) {
 		SharedTotal: 480, PromotedTotal: 48, DeltaTotal: 48,
 		DedupRatio: 1.5, CloneCycMean: 4000, DeltaCycMean: 9000,
 	}}
-	path := filepath.Join(t.TempDir(), "BENCH_fork.json")
-	if err := WriteForkBaseline(path, pts); err != nil {
-		t.Fatal(err)
-	}
-	base, err := LoadForkBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := CompareForkBaseline(base, pts, 25); len(v) != 0 {
-		t.Fatalf("self-compare violated: %v", v)
-	}
-	// Cycle drift inside the band passes; outside fails.
-	drift := pts
-	drift[0].CloneCycMean = 4900
-	if v := CompareForkBaseline(base, drift, 25); len(v) != 0 {
-		t.Fatalf("in-band drift flagged: %v", v)
-	}
-	drift[0].CloneCycMean = 6000
-	if v := CompareForkBaseline(base, drift, 25); len(v) != 1 {
-		t.Fatalf("out-of-band drift not flagged: %v", v)
-	}
-	// Sharing counts are exact: any change is a violation.
-	drift[0].CloneCycMean = 4000
-	drift[0].StoreFrames++
-	v := CompareForkBaseline(base, drift, 25)
-	if len(v) != 1 || !strings.Contains(v[0], "store_frames") {
-		t.Fatalf("store_frames drift not flagged exactly: %v", v)
-	}
+	moved := append([]ForkPoint(nil), pts...)
+	moved[0].CloneCycMean++
+	checkExactGate(t,
+		ForkBaseline{Schema: ForkBaselineSchema, Sweep: pts},
+		ForkBaseline{Schema: ForkBaselineSchema, Sweep: moved})
 }

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/hw"
 	"repro/internal/workloads"
@@ -146,138 +144,10 @@ func WriteIOSweep(w io.Writer, pts []IOPoint, sw *IOSwitchPoint) {
 // IOBaselineSchema versions the committed I/O baseline.
 const IOBaselineSchema = "mercury-bench/io/v1"
 
-// IOBaseline is the serialized sweep: committed at the repo root as
-// BENCH_io.json and diffed in CI like the other baselines.
+// IOBaseline is the serialized sweep, committed at the repo root as
+// BENCH_io.json.
 type IOBaseline struct {
 	Schema string         `json:"schema"`
 	Sweep  []IOPoint      `json:"sweep"`
 	Switch *IOSwitchPoint `json:"switch"`
-}
-
-// WriteIOBaseline writes the sweep to path as indented JSON.
-func WriteIOBaseline(path string, pts []IOPoint, sw *IOSwitchPoint) error {
-	b := IOBaseline{Schema: IOBaselineSchema, Sweep: pts, Switch: sw}
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return fmt.Errorf("bench: encoding io baseline: %w", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("bench: writing io baseline: %w", err)
-	}
-	return nil
-}
-
-// LoadIOBaseline reads a committed I/O baseline.
-func LoadIOBaseline(path string) (*IOBaseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("bench: reading io baseline: %w", err)
-	}
-	var b IOBaseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("bench: decoding io baseline %s: %w", path, err)
-	}
-	if b.Schema != IOBaselineSchema {
-		return nil, fmt.Errorf("bench: io baseline %s has schema %q, want %q",
-			path, b.Schema, IOBaselineSchema)
-	}
-	return &b, nil
-}
-
-// CompareIOBaseline diffs a fresh sweep against the committed baseline.
-// Points match by (queues, depth, arrival); request, doorbell, and
-// backend counts must match exactly (algorithmic outcomes of a
-// deterministic simulation), while latency and switch cycles may drift
-// by tolerancePct.
-func CompareIOBaseline(base *IOBaseline, fresh []IOPoint, sw *IOSwitchPoint, tolerancePct float64) []string {
-	type key struct {
-		queues  int
-		depth   int
-		arrival hw.Cycles
-	}
-	idx := make(map[key]IOPoint, len(base.Sweep))
-	for _, pt := range base.Sweep {
-		idx[key{pt.Queues, pt.Depth, pt.Arrival}] = pt
-	}
-
-	var violations []string
-	cycles := func(name, field string, want, got hw.Cycles) {
-		if want == 0 {
-			if got != 0 {
-				violations = append(violations,
-					fmt.Sprintf("%s %s: baseline 0, measured %d", name, field, got))
-			}
-			return
-		}
-		dev := (float64(got) - float64(want)) / float64(want) * 100
-		if dev < 0 {
-			dev = -dev
-		}
-		if dev > tolerancePct {
-			violations = append(violations,
-				fmt.Sprintf("%s %s: baseline %d, measured %d (%.1f%% > %.1f%% tolerance)",
-					name, field, want, got, dev, tolerancePct))
-		}
-	}
-	exact := func(name, field string, want, got any) {
-		if want != got {
-			violations = append(violations,
-				fmt.Sprintf("%s %s: baseline %v, measured %v", name, field, want, got))
-		}
-	}
-	diffResult := func(name string, want, got workloads.IOResult) {
-		exact(name, "submitted", want.Submitted, got.Submitted)
-		exact(name, "completed", want.Completed, got.Completed)
-		exact(name, "duplicates", want.Duplicates, got.Duplicates)
-		exact(name, "lost", want.Lost, got.Lost)
-		exact(name, "req_slots", want.ReqSlots, got.ReqSlots)
-		exact(name, "req_kicks", want.ReqKicks, got.ReqKicks)
-		exact(name, "resp_slots", want.RespSlots, got.RespSlots)
-		exact(name, "resp_kicks", want.RespKicks, got.RespKicks)
-		exact(name, "forced_kicks", want.ForcedKicks, got.ForcedKicks)
-		exact(name, "backend_bursts", want.BackendBursts, got.BackendBursts)
-		exact(name, "final_mode", want.FinalMode, got.FinalMode)
-		cycles(name, "p50", want.P50, got.P50)
-		cycles(name, "p99", want.P99, got.P99)
-		cycles(name, "p999", want.P999, got.P999)
-		cycles(name, "mean", want.Mean, got.Mean)
-		cycles(name, "total_cyc", want.TotalCyc, got.TotalCyc)
-	}
-
-	seen := make(map[key]bool, len(fresh))
-	for _, pt := range fresh {
-		k := key{pt.Queues, pt.Depth, pt.Arrival}
-		seen[k] = true
-		want, ok := idx[k]
-		if !ok {
-			violations = append(violations,
-				fmt.Sprintf("%dq/%dd/%darr: not in baseline", k.queues, k.depth, k.arrival))
-			continue
-		}
-		name := fmt.Sprintf("%dq/%dd/%darr", k.queues, k.depth, k.arrival)
-		diffResult(name+" native", want.Native, pt.Native)
-		diffResult(name+" virtual", want.Virtual, pt.Virtual)
-	}
-	for k := range idx {
-		if !seen[k] {
-			violations = append(violations,
-				fmt.Sprintf("%dq/%dd/%darr: in baseline but not measured", k.queues, k.depth, k.arrival))
-		}
-	}
-	switch {
-	case base.Switch == nil && sw != nil:
-		violations = append(violations, "switch point: not in baseline")
-	case base.Switch != nil && sw == nil:
-		violations = append(violations, "switch point: in baseline but not measured")
-	case base.Switch != nil && sw != nil:
-		name := "switch"
-		diffResult(name, base.Switch.Result, sw.Result)
-		exact(name, "window_requests", base.Switch.Result.WindowRequests, sw.Result.WindowRequests)
-		cycles(name, "switch_cyc", base.Switch.Result.SwitchCyc, sw.Result.SwitchCyc)
-		cycles(name, "window_p50", base.Switch.Result.WindowP50, sw.Result.WindowP50)
-		cycles(name, "window_p99", base.Switch.Result.WindowP99, sw.Result.WindowP99)
-		cycles(name, "window_p999", base.Switch.Result.WindowP999, sw.Result.WindowP999)
-	}
-	return violations
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/hw"
@@ -29,9 +27,6 @@ func sampleIOPoint(t *testing.T, queues, depth int, arrival hw.Cycles) IOPoint {
 	return pt
 }
 
-// A baseline written to disk must load and self-compare clean, and a
-// perturbed count must be flagged as an exact-field violation while a
-// small latency drift stays inside the band.
 func TestIOBaselineRoundTripAndCompare(t *testing.T) {
 	pts := []IOPoint{sampleIOPoint(t, 1, 16, 6000)}
 	res, err := workloads.RunIOServer(workloads.IOConfig{
@@ -42,44 +37,11 @@ func TestIOBaselineRoundTripAndCompare(t *testing.T) {
 		t.Fatal(err)
 	}
 	sw := &IOSwitchPoint{Queues: 2, Depth: 32, Arrival: 6000, Result: *res}
-
-	path := filepath.Join(t.TempDir(), "BENCH_io.json")
-	if err := WriteIOBaseline(path, pts, sw); err != nil {
-		t.Fatal(err)
-	}
-	base, err := LoadIOBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := CompareIOBaseline(base, pts, sw, 25); len(v) != 0 {
-		t.Fatalf("self-compare violated: %v", v)
-	}
-
-	// A changed doorbell count is an exact violation regardless of band.
-	bad := make([]IOPoint, len(pts))
-	copy(bad, pts)
-	bad[0].Virtual.ReqKicks++
-	v := CompareIOBaseline(base, bad, sw, 25)
-	if len(v) == 0 || !strings.Contains(strings.Join(v, ";"), "req_kicks") {
-		t.Fatalf("perturbed req_kicks not flagged: %v", v)
-	}
-
-	// Latency drift inside the band passes; outside fails.
-	drift := make([]IOPoint, len(pts))
-	copy(drift, pts)
-	drift[0].Virtual.P99 = drift[0].Virtual.P99 * 110 / 100
-	if v := CompareIOBaseline(base, drift, sw, 25); len(v) != 0 {
-		t.Fatalf("10%% drift flagged at 25%% tolerance: %v", v)
-	}
-	drift[0].Virtual.P99 = pts[0].Virtual.P99 * 2
-	if v := CompareIOBaseline(base, drift, sw, 25); len(v) == 0 {
-		t.Fatal("100% drift not flagged")
-	}
-
-	// A missing switch point is flagged both ways.
-	if v := CompareIOBaseline(base, pts, nil, 25); len(v) == 0 {
-		t.Fatal("missing switch point not flagged")
-	}
+	moved := *sw
+	moved.Result.WindowP99++
+	checkExactGate(t,
+		IOBaseline{Schema: IOBaselineSchema, Sweep: pts, Switch: sw},
+		IOBaseline{Schema: IOBaselineSchema, Sweep: pts, Switch: &moved})
 }
 
 // The acceptance criteria ride on the sweep's virtual points: the

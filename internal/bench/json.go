@@ -6,34 +6,24 @@ import (
 	"os"
 )
 
+// Every sweep's committed BENCH_*.json is its own gate: the simulation
+// is deterministic, so CI regenerates the file with `benchtab -exp X
+// -json` and fails on any `git diff`. Re-baselining is regenerating the
+// file and committing the diff.
+
 // SwitchBaselineSchema versions the committed benchmark baseline; bump
 // it when the sweep's shape or the cost model changes incompatibly.
 const SwitchBaselineSchema = "mercury-bench/switch/v1"
 
-// SwitchBaseline is the serialized form of the switch-latency trajectory:
-// committed at the repo root as BENCH_baseline.json and re-generated in
-// CI as BENCH_switch.json, then diffed point by point.
+// SwitchBaseline is the serialized form of the switch-latency
+// trajectory, committed at the repo root as BENCH_switch.json.
 type SwitchBaseline struct {
 	Schema string             `json:"schema"`
 	Scale  []SwitchScalePoint `json:"scale"`
 }
 
-// WriteSwitchBaseline writes the sweep to path as indented JSON.
-func WriteSwitchBaseline(path string, pts []SwitchScalePoint) error {
-	b := SwitchBaseline{Schema: SwitchBaselineSchema, Scale: pts}
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return fmt.Errorf("bench: encoding baseline: %w", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("bench: writing baseline: %w", err)
-	}
-	return nil
-}
-
 // WriteJSONFile marshals any benchmark result (TableResult,
-// FigureResult, ...) to path as indented JSON.
+// FigureResult, a sweep baseline, ...) to path as indented JSON.
 func WriteJSONFile(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
@@ -44,80 +34,4 @@ func WriteJSONFile(path string, v any) error {
 		return fmt.Errorf("bench: writing %s: %w", path, err)
 	}
 	return nil
-}
-
-// LoadSwitchBaseline reads a committed baseline.
-func LoadSwitchBaseline(path string) (*SwitchBaseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("bench: reading baseline: %w", err)
-	}
-	var b SwitchBaseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("bench: decoding baseline %s: %w", path, err)
-	}
-	if b.Schema != SwitchBaselineSchema {
-		return nil, fmt.Errorf("bench: baseline %s has schema %q, want %q",
-			path, b.Schema, SwitchBaselineSchema)
-	}
-	return &b, nil
-}
-
-// CompareSwitchBaseline diffs a fresh sweep against the committed
-// baseline. Points are matched by (policy, ncpu, pages); each cycle
-// field may deviate by at most tolerancePct percent relative to the
-// baseline value. It returns one human-readable violation per breach —
-// an empty slice means the trajectory held.
-func CompareSwitchBaseline(base *SwitchBaseline, fresh []SwitchScalePoint, tolerancePct float64) []string {
-	type key struct {
-		policy string
-		ncpu   int
-		pages  int
-	}
-	idx := make(map[key]SwitchScalePoint, len(base.Scale))
-	for _, pt := range base.Scale {
-		idx[key{pt.Policy, pt.NCPU, pt.Pages}] = pt
-	}
-
-	var violations []string
-	check := func(k key, field string, want, got uint64) {
-		if want == 0 {
-			if got != 0 {
-				violations = append(violations,
-					fmt.Sprintf("%s/%dcpu/%dpg %s: baseline 0, measured %d",
-						k.policy, k.ncpu, k.pages, field, got))
-			}
-			return
-		}
-		dev := (float64(got) - float64(want)) / float64(want) * 100
-		if dev < 0 {
-			dev = -dev
-		}
-		if dev > tolerancePct {
-			violations = append(violations,
-				fmt.Sprintf("%s/%dcpu/%dpg %s: baseline %d, measured %d (%.1f%% > %.1f%% tolerance)",
-					k.policy, k.ncpu, k.pages, field, want, got, dev, tolerancePct))
-		}
-	}
-	seen := make(map[key]bool, len(fresh))
-	for _, pt := range fresh {
-		k := key{pt.Policy, pt.NCPU, pt.Pages}
-		seen[k] = true
-		want, ok := idx[k]
-		if !ok {
-			violations = append(violations,
-				fmt.Sprintf("%s/%dcpu/%dpg: not in baseline", k.policy, k.ncpu, k.pages))
-			continue
-		}
-		check(k, "attach_cyc", want.AttachCyc, pt.AttachCyc)
-		check(k, "reattach_cyc", want.ReattachCyc, pt.ReattachCyc)
-		check(k, "detach_cyc", want.DetachCyc, pt.DetachCyc)
-	}
-	for k := range idx {
-		if !seen[k] {
-			violations = append(violations,
-				fmt.Sprintf("%s/%dcpu/%dpg: in baseline but not measured", k.policy, k.ncpu, k.pages))
-		}
-	}
-	return violations
 }

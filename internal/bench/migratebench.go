@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/hw"
 	"repro/internal/migrate"
@@ -138,110 +136,9 @@ func WriteMigrateSweep(w io.Writer, pts []MigratePoint) {
 // MigrateBaselineSchema versions the committed migration baseline.
 const MigrateBaselineSchema = "mercury-bench/migrate/v1"
 
-// MigrateBaseline is the serialized sweep: committed at the repo root
-// as BENCH_migrate.json and diffed in CI like the switch baseline.
+// MigrateBaseline is the serialized sweep, committed at the repo root
+// as BENCH_migrate.json.
 type MigrateBaseline struct {
 	Schema string         `json:"schema"`
 	Sweep  []MigratePoint `json:"sweep"`
-}
-
-// WriteMigrateBaseline writes the sweep to path as indented JSON.
-func WriteMigrateBaseline(path string, pts []MigratePoint) error {
-	b := MigrateBaseline{Schema: MigrateBaselineSchema, Sweep: pts}
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return fmt.Errorf("bench: encoding migrate baseline: %w", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("bench: writing migrate baseline: %w", err)
-	}
-	return nil
-}
-
-// LoadMigrateBaseline reads a committed migration baseline.
-func LoadMigrateBaseline(path string) (*MigrateBaseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("bench: reading migrate baseline: %w", err)
-	}
-	var b MigrateBaseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("bench: decoding migrate baseline %s: %w", path, err)
-	}
-	if b.Schema != MigrateBaselineSchema {
-		return nil, fmt.Errorf("bench: migrate baseline %s has schema %q, want %q",
-			path, b.Schema, MigrateBaselineSchema)
-	}
-	return &b, nil
-}
-
-// CompareMigrateBaseline diffs a fresh sweep against the committed
-// baseline. Points match by (pages, dirty_per_round, slo_us); the cycle
-// fields may drift by tolerancePct, while rounds, pages sent, the stop
-// reason, and the verification verdict must match exactly (they are
-// algorithmic, not cost-model, outcomes). Returns one violation per
-// breach; empty means the trajectory held.
-func CompareMigrateBaseline(base *MigrateBaseline, fresh []MigratePoint, tolerancePct float64) []string {
-	type key struct {
-		pages int
-		dirty int
-		slo   float64
-	}
-	idx := make(map[key]MigratePoint, len(base.Sweep))
-	for _, pt := range base.Sweep {
-		idx[key{pt.Pages, pt.DirtyPerRound, pt.SLOUs}] = pt
-	}
-
-	var violations []string
-	name := func(k key) string {
-		return fmt.Sprintf("%dpg/%ddirty/slo=%.0fus", k.pages, k.dirty, k.slo)
-	}
-	cycles := func(k key, field string, want, got uint64) {
-		if want == 0 {
-			if got != 0 {
-				violations = append(violations,
-					fmt.Sprintf("%s %s: baseline 0, measured %d", name(k), field, got))
-			}
-			return
-		}
-		dev := (float64(got) - float64(want)) / float64(want) * 100
-		if dev < 0 {
-			dev = -dev
-		}
-		if dev > tolerancePct {
-			violations = append(violations,
-				fmt.Sprintf("%s %s: baseline %d, measured %d (%.1f%% > %.1f%% tolerance)",
-					name(k), field, want, got, dev, tolerancePct))
-		}
-	}
-	exact := func(k key, field string, want, got any) {
-		if want != got {
-			violations = append(violations,
-				fmt.Sprintf("%s %s: baseline %v, measured %v", name(k), field, want, got))
-		}
-	}
-	seen := make(map[key]bool, len(fresh))
-	for _, pt := range fresh {
-		k := key{pt.Pages, pt.DirtyPerRound, pt.SLOUs}
-		seen[k] = true
-		want, ok := idx[k]
-		if !ok {
-			violations = append(violations, fmt.Sprintf("%s: not in baseline", name(k)))
-			continue
-		}
-		cycles(k, "downtime_cyc", want.DowntimeCyc, pt.DowntimeCyc)
-		cycles(k, "total_cyc", want.TotalCyc, pt.TotalCyc)
-		exact(k, "rounds", want.Rounds, pt.Rounds)
-		exact(k, "pages_sent", want.PagesSent, pt.PagesSent)
-		exact(k, "stop_reason", want.StopReason, pt.StopReason)
-		exact(k, "verified", want.Verified, pt.Verified)
-	}
-	for k := range idx {
-		if !seen[k] {
-			violations = append(violations,
-				fmt.Sprintf("%s: in baseline but not measured", name(k)))
-		}
-	}
-	return violations
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -52,51 +51,9 @@ func TestMigrateBaselineRoundTripAndCompare(t *testing.T) {
 		{Pages: 512, DirtyPerRound: 64, SLOUs: 300, Rounds: 3, PagesSent: 700,
 			DowntimeCyc: 2000, TotalCyc: 9000, StopReason: "slo", Verified: true},
 	}
-	path := filepath.Join(t.TempDir(), "BENCH_migrate.json")
-	if err := WriteMigrateBaseline(path, pts); err != nil {
-		t.Fatal(err)
-	}
-	base, err := LoadMigrateBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Schema != MigrateBaselineSchema || !reflect.DeepEqual(base.Sweep, pts) {
-		t.Fatalf("round trip mangled the baseline: %+v", base)
-	}
-
-	if v := CompareMigrateBaseline(base, pts, 25); len(v) != 0 {
-		t.Fatalf("identical sweep violates baseline: %v", v)
-	}
-
-	// Cycle drift within tolerance passes; beyond it breaches.
-	drift := make([]MigratePoint, len(pts))
-	copy(drift, pts)
-	drift[0].DowntimeCyc = 1100 // +10%
-	if v := CompareMigrateBaseline(base, drift, 25); len(v) != 0 {
-		t.Fatalf("10%% drift breached a 25%% tolerance: %v", v)
-	}
-	drift[0].DowntimeCyc = 2000 // +100%
-	if v := CompareMigrateBaseline(base, drift, 25); len(v) != 1 {
-		t.Fatalf("100%% drift: got %d violations, want 1: %v", len(v), v)
-	}
-
-	// Algorithmic fields match exactly — a changed stop reason is a
-	// behaviour change, not noise.
-	algo := make([]MigratePoint, len(pts))
-	copy(algo, pts)
-	algo[1].StopReason = "diverging"
-	algo[1].Verified = false
-	if v := CompareMigrateBaseline(base, algo, 25); len(v) != 2 {
-		t.Fatalf("algorithmic drift: got %d violations, want 2: %v", len(v), v)
-	}
-
-	// Missing and extra points are both violations.
-	if v := CompareMigrateBaseline(base, pts[:1], 25); len(v) != 1 {
-		t.Fatalf("missing point: got %v", v)
-	}
-	extra := append(append([]MigratePoint{}, pts...), MigratePoint{
-		Pages: 9999, DirtyPerRound: 1, SLOUs: 0})
-	if v := CompareMigrateBaseline(base, extra, 25); len(v) != 1 {
-		t.Fatalf("extra point: got %v", v)
-	}
+	moved := append([]MigratePoint(nil), pts...)
+	moved[0].DowntimeCyc++
+	checkExactGate(t,
+		MigrateBaseline{Schema: MigrateBaselineSchema, Sweep: pts},
+		MigrateBaseline{Schema: MigrateBaselineSchema, Sweep: moved})
 }

@@ -1,7 +1,11 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -53,8 +57,39 @@ func TestSwitchScaleAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := CompareSwitchBaseline(&SwitchBaseline{Schema: SwitchBaselineSchema, Scale: pts}, again, 0); len(v) != 0 {
-		t.Errorf("sweep not deterministic: %v", v)
+	if !reflect.DeepEqual(pts, again) {
+		t.Errorf("sweep not deterministic:\n%+v\n%+v", pts, again)
+	}
+}
+
+// checkExactGate checks the two properties CI's regenerate-and-diff
+// gate rests on for one baseline shape: the written file decodes back
+// to exactly what was written, and moving one cycle field by a single
+// cycle changes the file's bytes.
+func checkExactGate[T any](t *testing.T, base, moved T) {
+	t.Helper()
+	dir := t.TempDir()
+	read := func(name string, v T) []byte {
+		path := filepath.Join(dir, name)
+		if err := WriteJSONFile(path, v); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	data, movedData := read("base.json", base), read("moved.json", moved)
+	var back T
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, base) {
+		t.Fatalf("round trip mangled the baseline:\n got %+v\nwant %+v", back, base)
+	}
+	if bytes.Equal(data, movedData) {
+		t.Fatal("a one-cycle move left the file unchanged; git diff would miss it")
 	}
 }
 
@@ -63,39 +98,9 @@ func TestSwitchBaselineRoundTripAndCompare(t *testing.T) {
 		{Policy: "recompute", NCPU: 1, Pages: 1024, AttachCyc: 1000, ReattachCyc: 900, DetachCyc: 100},
 		{Policy: "journal", NCPU: 2, Pages: 4096, AttachCyc: 5000, ReattachCyc: 400, DetachCyc: 120, Replays: 1},
 	}
-	path := filepath.Join(t.TempDir(), "base.json")
-	if err := WriteSwitchBaseline(path, pts); err != nil {
-		t.Fatal(err)
-	}
-	base, err := LoadSwitchBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base.Scale) != 2 {
-		t.Fatalf("round trip lost points: %+v", base.Scale)
-	}
-	if v := CompareSwitchBaseline(base, pts, 0); len(v) != 0 {
-		t.Fatalf("identical sweep reported violations: %v", v)
-	}
-
-	// Within tolerance: +10% on one field at 25% band.
-	drift := append([]SwitchScalePoint(nil), pts...)
-	drift[0].AttachCyc = 1100
-	if v := CompareSwitchBaseline(base, drift, 25); len(v) != 0 {
-		t.Fatalf("10%% drift flagged at 25%% tolerance: %v", v)
-	}
-	// Out of tolerance: +50%.
-	drift[0].AttachCyc = 1500
-	if v := CompareSwitchBaseline(base, drift, 25); len(v) != 1 {
-		t.Fatalf("50%% drift not flagged exactly once: %v", v)
-	}
-	// Missing and extra points are both violations.
-	if v := CompareSwitchBaseline(base, pts[:1], 25); len(v) != 1 {
-		t.Fatalf("missing point not flagged: %v", v)
-	}
-	extra := append([]SwitchScalePoint(nil), pts...)
-	extra = append(extra, SwitchScalePoint{Policy: "active", NCPU: 8, Pages: 64})
-	if v := CompareSwitchBaseline(base, extra, 25); len(v) != 1 {
-		t.Fatalf("extra point not flagged: %v", v)
-	}
+	moved := append([]SwitchScalePoint(nil), pts...)
+	moved[1].DetachCyc++
+	checkExactGate(t,
+		SwitchBaseline{Schema: SwitchBaselineSchema, Scale: pts},
+		SwitchBaseline{Schema: SwitchBaselineSchema, Scale: moved})
 }

@@ -128,10 +128,10 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	rep := &Report{
-		Schema:       ReportSchema,
-		Seed:         cfg.Seed,
-		Ops:          cfg.Ops,
-		TolerancePct: DefaultTolerancePct,
+		Schema:             ReportSchema,
+		Seed:               cfg.Seed,
+		Ops:                cfg.Ops,
+		NativeTaxBudgetPct: NativeTaxBudgetPct,
 	}
 	rep.Rows = buildRows(nl, mn, mv)
 	rep.NativeTaxPct = taxPct(nl.elapsed, mn.elapsed)

@@ -2,9 +2,14 @@ package divergence
 
 import (
 	"bytes"
-	"fmt"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
 )
 
 func run(t *testing.T, cfg Config) *Report {
@@ -69,89 +74,42 @@ func TestNativeTaxWithinPaperClaim(t *testing.T) {
 	}
 }
 
-// TestCompareSelf: a report diffed against itself is clean, including
-// with a budget set at the measured value.
-func TestCompareSelf(t *testing.T) {
-	rep := run(t, Config{Seed: 11, Ops: 100})
-	base := *rep
-	base.NativeTaxBudgetPct = rep.NativeTaxPct + 0.5
-	if v := Compare(&base, rep); len(v) != 0 {
-		t.Fatalf("self-compare not clean: %v", v)
+// TestNativeTaxGate: the budget is the package constant, so a report
+// over it fails even when the file it came from carries a zero budget,
+// and a report under it passes.
+func TestNativeTaxGate(t *testing.T) {
+	over := &Report{NativeTaxPct: 3.5, NativeTaxBudgetPct: 0}
+	if err := over.CheckNativeTax(); err == nil {
+		t.Fatal("3.5% native tax passed with a zero budget in the report")
 	}
-}
-
-// TestCompareDetectsPerturbations: exact-count drift, removed rows,
-// cycle drift beyond tolerance, journal changes, and a blown tax budget
-// must each produce a violation.
-func TestCompareDetectsPerturbations(t *testing.T) {
-	rep := run(t, Config{Seed: 11, Ops: 100})
-	base := *rep
-	base.NativeTaxBudgetPct = rep.NativeTaxPct + 0.5
-
-	perturb := func(mut func(r *Report)) []string {
-		cp := *rep
-		cp.Rows = append([]Row(nil), rep.Rows...)
-		cp.Switches = append([]SwitchProbe(nil), rep.Switches...)
-		mut(&cp)
-		return Compare(&base, &cp)
-	}
-
-	if v := perturb(func(r *Report) { r.Rows[1].MN++ }); len(v) == 0 {
-		t.Error("exact-count drift not detected")
-	}
-	if v := perturb(func(r *Report) { r.Rows = r.Rows[1:] }); len(v) == 0 {
-		t.Error("removed row not detected")
-	}
-	if v := perturb(func(r *Report) { r.Rows[0].MV *= 2 }); len(v) == 0 {
-		t.Error("cycle drift beyond tolerance not detected")
-	}
-	if v := perturb(func(r *Report) { r.NativeTaxPct = base.NativeTaxBudgetPct + 1 }); len(v) == 0 {
-		t.Error("blown native-tax budget not detected")
-	}
-	if v := perturb(func(r *Report) {
-		for i := range r.Switches {
-			if r.Switches[i].Journal != nil {
-				j := *r.Switches[i].Journal
-				j.Replays++
-				r.Switches[i].Journal = &j
-			}
-		}
-	}); len(v) == 0 {
-		t.Error("journal activity change not detected")
-	}
-}
-
-// TestCompareRejectsWorkloadMismatch: different seed or length is a
-// category error, not a drift.
-func TestCompareRejectsWorkloadMismatch(t *testing.T) {
-	a := &Report{Schema: ReportSchema, Seed: 1, Ops: 100}
-	b := &Report{Schema: ReportSchema, Seed: 2, Ops: 100}
-	if v := Compare(a, b); len(v) != 1 || !strings.Contains(v[0], "workload mismatch") {
-		t.Fatalf("want a single workload-mismatch violation, got %v", v)
-	}
-}
-
-// TestBaselineRoundTrip: WriteJSON → LoadReport is lossless enough for
-// Compare, and LoadReport rejects foreign schemas.
-func TestBaselineRoundTrip(t *testing.T) {
-	rep := run(t, Config{Seed: 11, Ops: 100})
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	under := &Report{NativeTaxPct: NativeTaxBudgetPct - 0.01}
+	if err := under.CheckNativeTax(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadReport(buf.Bytes())
+}
+
+// TestBaselineRoundTrip: the committed file decodes back to exactly
+// the report that was written, and every generated report carries the
+// constant budget, never 0.
+func TestBaselineRoundTrip(t *testing.T) {
+	rep := run(t, Config{Seed: 11, Ops: 100})
+	if rep.NativeTaxBudgetPct != NativeTaxBudgetPct {
+		t.Fatalf("report budget %.2f, want %.2f", rep.NativeTaxBudgetPct, NativeTaxBudgetPct)
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_divergence.json")
+	if err := bench.WriteJSONFile(path, rep); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back.NativeTaxBudgetPct = rep.NativeTaxPct + 0.5
-	if v := Compare(back, rep); len(v) != 0 {
-		t.Fatalf("round-tripped baseline not clean: %v", v)
+	var back Report
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
 	}
-
-	bad := bytes.Replace(buf.Bytes(),
-		[]byte(fmt.Sprintf(`"schema": %d`, ReportSchema)), []byte(`"schema": 99`), 1)
-	if _, err := LoadReport(bad); err == nil {
-		t.Fatal("foreign schema accepted")
+	if !reflect.DeepEqual(&back, rep) {
+		t.Fatalf("round trip mangled the report:\n got %+v\nwant %+v", back, *rep)
 	}
 }
 

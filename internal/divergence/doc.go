@@ -6,13 +6,14 @@
 // a transparency report: for every probe, the native count, the virtual
 // count, the delta, and the percentage tax.
 //
-// The probes split into two classes with different comparison
-// semantics. Logical counts (syscalls, forks, page faults, PTE writes,
-// MMU updates, fault bounces, journal activity) are deterministic given
-// the workload seed and must match a committed baseline exactly — any
-// drift means the model changed behaviour, not just speed. Time-derived
-// counts (cycles, timer interrupts, context switches, TLB flushes,
-// hypercalls that scale with ticks) are compared within a tolerance.
+// The probes split into two classes. Logical counts (syscalls, forks,
+// page faults, PTE writes, MMU updates, fault bounces, journal
+// activity) are marked exact: a change means the model changed
+// behaviour, not just speed. Time-derived counts (cycles, timer
+// interrupts, context switches, TLB flushes, hypercalls that scale with
+// ticks) follow the cost model. Both are deterministic on the simulated
+// clock, so CI regenerates the committed report and fails on any git
+// diff.
 //
 // A second set of probes decomposes the mode switch itself: the harness
 // drives M-N across an attach/detach cycle under both the recompute and
@@ -21,8 +22,7 @@
 //
 // The headline number is the native tax: the M-N workload slowdown over
 // N-L. The paper's claim is that Mercury's native mode costs on the
-// order of 2–3% (§7.2); the committed baseline carries a budget
-// (NativeTaxBudgetPct) and Compare fails when a change pushes the
-// measured tax past it, so the claim is CI-enforced rather than
-// aspirational.
+// order of 2–3% (§7.2); Report.CheckNativeTax fails when a change
+// pushes the measured tax past the NativeTaxBudgetPct constant, so the
+// claim is CI-enforced rather than aspirational.
 package divergence

@@ -1,20 +1,18 @@
 package mc
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"sort"
 )
 
 // The committed checker evidence: BENCH_mc.json records, for a fixed
 // row set, how many states and transitions each exploration visits and
-// what verdict it reaches. Everything except wall-clock time is
-// deterministic for a fixed configuration, so CI diffs the counts
-// exactly — a protocol change that shrinks or grows the reachable
-// state space, flips a verdict, or lengthens a minimal counterexample
-// shows up as a baseline breach, not a silent drift.
+// what verdict it reaches. Everything in it is deterministic for a
+// fixed configuration (wall-clock time stays out of the file), so CI
+// regenerates it and fails on any git diff — a protocol change that
+// shrinks or grows the reachable state space, flips a verdict, or
+// lengthens a minimal counterexample shows up as a changed line, not a
+// silent drift.
 
 // BenchRow is one exploration's committed evidence.
 type BenchRow struct {
@@ -30,7 +28,7 @@ type BenchRow struct {
 	SleepSkips  int     `json:"sleep_skips"`
 	BoundUsed   int     `json:"bound_used"`
 	TraceLen    int     `json:"trace_len"`
-	ElapsedMS   float64 `json:"elapsed_ms"` // informational, never diffed
+	ElapsedMS   float64 `json:"-"` // host clock: table output only
 }
 
 // Baseline is the committed BENCH_mc.json shape.
@@ -39,7 +37,8 @@ type Baseline struct {
 	Rows   []BenchRow `json:"rows"`
 }
 
-const baselineSchema = "mc-baseline/v1"
+// BaselineSchema versions the BENCH_mc.json shape.
+const BaselineSchema = "mc-baseline/v1"
 
 // wideConfig is the larger clean row: three CPUs, three workers.
 func wideConfig() Config {
@@ -129,88 +128,4 @@ func WriteBenchTable(w io.Writer, rows []BenchRow) {
 			r.Name, r.CPUs, r.Workers, r.Violation, r.States,
 			r.Transitions, r.SleepSkips, r.BoundUsed, r.TraceLen, r.ElapsedMS)
 	}
-}
-
-// WriteBaseline writes BENCH_mc.json.
-func WriteBaseline(path string, rows []BenchRow) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(Baseline{Schema: baselineSchema, Rows: rows})
-}
-
-// LoadBaseline reads a committed BENCH_mc.json.
-func LoadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("mc: parsing baseline %s: %w", path, err)
-	}
-	if b.Schema != baselineSchema {
-		return nil, fmt.Errorf("mc: baseline %s has schema %q, want %q",
-			path, b.Schema, baselineSchema)
-	}
-	return &b, nil
-}
-
-// CompareBaseline diffs fresh rows against the committed baseline.
-// Every field except ElapsedMS is exact: the exploration is
-// deterministic, so any delta is a real change to the protocol's
-// reachable behaviour (or to the checker) that must be re-committed
-// deliberately.
-func CompareBaseline(base *Baseline, rows []BenchRow) []string {
-	var violations []string
-	byName := make(map[string]BenchRow, len(rows))
-	for _, r := range rows {
-		byName[r.Name] = r
-	}
-	for _, want := range base.Rows {
-		got, ok := byName[want.Name]
-		if !ok {
-			violations = append(violations,
-				fmt.Sprintf("%s: row missing from fresh run", want.Name))
-			continue
-		}
-		delete(byName, want.Name)
-		if got.Violation != want.Violation {
-			violations = append(violations, fmt.Sprintf(
-				"%s: verdict %s, baseline %s", want.Name, got.Violation, want.Violation))
-		}
-		if got.Complete != want.Complete {
-			violations = append(violations, fmt.Sprintf(
-				"%s: complete=%v, baseline %v", want.Name, got.Complete, want.Complete))
-		}
-		if got.States != want.States || got.Transitions != want.Transitions {
-			violations = append(violations, fmt.Sprintf(
-				"%s: explored (%d states, %d transitions), baseline (%d, %d)",
-				want.Name, got.States, got.Transitions, want.States, want.Transitions))
-		}
-		if got.SleepSkips != want.SleepSkips {
-			violations = append(violations, fmt.Sprintf(
-				"%s: %d sleep-set prunes, baseline %d",
-				want.Name, got.SleepSkips, want.SleepSkips))
-		}
-		if got.BoundUsed != want.BoundUsed || got.TraceLen != want.TraceLen {
-			violations = append(violations, fmt.Sprintf(
-				"%s: bound=%d cex=%d, baseline bound=%d cex=%d",
-				want.Name, got.BoundUsed, got.TraceLen, want.BoundUsed, want.TraceLen))
-		}
-	}
-	var extra []string
-	for name := range byName {
-		extra = append(extra, name)
-	}
-	sort.Strings(extra)
-	for _, name := range extra {
-		violations = append(violations,
-			fmt.Sprintf("%s: row not in baseline (add it deliberately)", name))
-	}
-	return violations
 }

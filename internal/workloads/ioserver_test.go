@@ -3,6 +3,7 @@ package workloads
 import (
 	"reflect"
 	"testing"
+	"time"
 )
 
 // TestIOServerSwitchUnderLoadExactlyOnce is the satellite's in-flight
@@ -96,5 +97,37 @@ func TestIOServerDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestIOServerDoesNotWedge replays a seed whose VMM timer tick fires
+// inside a ring charge: the tick runs the driver domain's slice, whose
+// BlkMQBackend.Serve takes the same ring's lock. With a charge under
+// the lock that re-entry deadlocks, so the run is bounded by a
+// host-time watchdog (generous: a healthy run takes well under a
+// second, even under -race).
+func TestIOServerDoesNotWedge(t *testing.T) {
+	cfg := IOConfig{Queues: 2, Depth: 64, ReadPct: 70, Virtual: true,
+		Requests: 8000, MeanArrival: 21126, Seed: 863184}
+	type outcome struct {
+		res *IOResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := RunIOServer(cfg)
+		done <- outcome{res, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if o.res.Completed != cfg.Requests || o.res.Lost != 0 || o.res.Duplicates != 0 {
+			t.Fatalf("completed=%d lost=%d dup=%d of %d",
+				o.res.Completed, o.res.Lost, o.res.Duplicates, cfg.Requests)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatalf("RunIOServer(%+v) never returned: IORing self-deadlock", cfg)
 	}
 }

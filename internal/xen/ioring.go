@@ -29,6 +29,11 @@ import (
 //     scheduler slice (Domain.BackgroundWork) to bound the wait for a
 //     sub-threshold trickle.
 //
+// Every cycle charge happens outside mu, as in Ring: a charge can fire
+// the VMM timer tick, whose credit-scheduler slice may run the backend
+// domain's Serve on this same ring. The per-burst charge goes before
+// Lock and the per-slot charge after Unlock.
+//
 // The lost-wakeup defense is the same FINAL CHECK as Xen's
 // RING_FINAL_CHECK_FOR_REQUESTS: Finish*Consume returns true when work
 // arrived between the drain and the re-arm, and the consumer must loop
@@ -100,9 +105,12 @@ func (r *IORing[Req, Resp]) Capacity() int { return int(r.mask) + 1 }
 // taken and whether the producer must ring the request doorbell. One
 // RingPut charge covers the whole burst; each slot costs a MemWrite.
 func (r *IORing[Req, Resp]) PushRequests(c *hw.CPU, reqs []Req) (n int, notify bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	c.Charge(r.costs.RingPut)
+	r.mu.Lock()
+	defer func() {
+		r.mu.Unlock()
+		c.Charge(hw.Cycles(n) * r.costs.MemWrite)
+	}()
 	old := r.reqProd
 	free := r.mask + 1 - (old - r.reqCons)
 	n = len(reqs)
@@ -113,7 +121,6 @@ func (r *IORing[Req, Resp]) PushRequests(c *hw.CPU, reqs []Req) (n int, notify b
 		r.reqs[(old+uint32(i))&r.mask] = reqs[i]
 	}
 	r.reqProd = old + uint32(n)
-	c.Charge(hw.Cycles(n) * r.costs.MemWrite)
 	if n == 0 {
 		return 0, false
 	}
@@ -137,11 +144,14 @@ func (r *IORing[Req, Resp]) PushRequests(c *hw.CPU, reqs []Req) (n int, notify b
 
 // TakeRequests dequeues up to len(buf) pending requests into buf. One
 // RingGet charge covers the burst; each slot costs a MemRead.
-func (r *IORing[Req, Resp]) TakeRequests(c *hw.CPU, buf []Req) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+func (r *IORing[Req, Resp]) TakeRequests(c *hw.CPU, buf []Req) (n int) {
 	c.Charge(r.costs.RingGet)
-	n := int(r.reqProd - r.reqCons)
+	r.mu.Lock()
+	defer func() {
+		r.mu.Unlock()
+		c.Charge(hw.Cycles(n) * r.costs.MemRead)
+	}()
+	n = int(r.reqProd - r.reqCons)
 	if n > len(buf) {
 		n = len(buf)
 	}
@@ -149,7 +159,6 @@ func (r *IORing[Req, Resp]) TakeRequests(c *hw.CPU, buf []Req) int {
 		buf[i] = r.reqs[(r.reqCons+uint32(i))&r.mask]
 	}
 	r.reqCons += uint32(n)
-	c.Charge(hw.Cycles(n) * r.costs.MemRead)
 	if n > 0 && r.reqDropPending {
 		// The producer's doorbell was swallowed but a poll drain found
 		// the work anyway — the liveness fallback the protocol promises.
@@ -167,9 +176,9 @@ func (r *IORing[Req, Resp]) FinishRequestConsume(c *hw.CPU, threshold int) bool 
 	if threshold < 1 {
 		threshold = 1
 	}
+	c.Charge(r.costs.MemWrite)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c.Charge(r.costs.MemWrite)
 	r.reqEvent = r.reqCons + uint32(threshold)
 	return r.reqProd != r.reqCons
 }
@@ -179,9 +188,12 @@ func (r *IORing[Req, Resp]) FinishRequestConsume(c *hw.CPU, threshold int) bool 
 // caller may assume every response fits. It panics on overflow rather
 // than silently dropping a completion.
 func (r *IORing[Req, Resp]) PushResponses(c *hw.CPU, resps []Resp) (notify bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	c.Charge(r.costs.RingPut)
+	r.mu.Lock()
+	defer func() {
+		r.mu.Unlock()
+		c.Charge(hw.Cycles(len(resps)) * r.costs.MemWrite)
+	}()
 	old := r.respProd
 	if uint32(len(resps)) > r.mask+1-(old-r.respCons) {
 		panic(fmt.Sprintf("xen: IORing response overflow: %d responses, %d free",
@@ -191,7 +203,6 @@ func (r *IORing[Req, Resp]) PushResponses(c *hw.CPU, resps []Resp) (notify bool)
 		r.resps[(old+uint32(i))&r.mask] = resps[i]
 	}
 	r.respProd = old + uint32(len(resps))
-	c.Charge(hw.Cycles(len(resps)) * r.costs.MemWrite)
 	if len(resps) == 0 {
 		return false
 	}
@@ -206,11 +217,14 @@ func (r *IORing[Req, Resp]) PushResponses(c *hw.CPU, resps []Resp) (notify bool)
 }
 
 // TakeResponses dequeues up to len(buf) completions into buf.
-func (r *IORing[Req, Resp]) TakeResponses(c *hw.CPU, buf []Resp) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+func (r *IORing[Req, Resp]) TakeResponses(c *hw.CPU, buf []Resp) (n int) {
 	c.Charge(r.costs.RingGet)
-	n := int(r.respProd - r.respCons)
+	r.mu.Lock()
+	defer func() {
+		r.mu.Unlock()
+		c.Charge(hw.Cycles(n) * r.costs.MemRead)
+	}()
+	n = int(r.respProd - r.respCons)
 	if n > len(buf) {
 		n = len(buf)
 	}
@@ -218,7 +232,6 @@ func (r *IORing[Req, Resp]) TakeResponses(c *hw.CPU, buf []Resp) int {
 		buf[i] = r.resps[(r.respCons+uint32(i))&r.mask]
 	}
 	r.respCons += uint32(n)
-	c.Charge(hw.Cycles(n) * r.costs.MemRead)
 	return n
 }
 
@@ -228,9 +241,9 @@ func (r *IORing[Req, Resp]) FinishResponseConsume(c *hw.CPU, threshold int) bool
 	if threshold < 1 {
 		threshold = 1
 	}
+	c.Charge(r.costs.MemWrite)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c.Charge(r.costs.MemWrite)
 	r.respEvent = r.respCons + uint32(threshold)
 	return r.respProd != r.respCons
 }
