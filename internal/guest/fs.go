@@ -345,10 +345,17 @@ func (fs *FS) Writeback(c *hw.CPU) {
 			fp.ino.blocks[fp.idx] = blk
 		}
 		reqs = append(reqs, BlockReq{Block: blk, Write: true, PFN: pg.pfn})
+		// The I/O holds its own reference: an Unlink on another CPU
+		// must not free (and a reallocation zero) a frame the disk
+		// is still reading.
+		k.refPage(pg.pfn)
 	}
 	fs.mu.Unlock()
 	sort.Slice(reqs, func(i, j int) bool { return reqs[i].Block < reqs[j].Block })
 	k.Blk.Submit(c, reqs)
+	for _, r := range reqs {
+		k.unrefPage(r.PFN)
+	}
 }
 
 // Close releases a file handle.

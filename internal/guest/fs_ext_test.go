@@ -159,3 +159,50 @@ func TestReadDir(t *testing.T) {
 		}
 	})
 }
+
+// unlinkDuringIO is a block driver that unlinks a file in the middle of
+// the first write batch, as a process on another CPU may, and records
+// which frames were under I/O and whether they were still referenced.
+type unlinkDuringIO struct {
+	BlockDriver
+	k      *Kernel
+	path   string
+	frames []hw.PFN
+	pinned []bool
+}
+
+func (d *unlinkDuringIO) Submit(c *hw.CPU, reqs []BlockReq) {
+	if d.frames == nil && len(reqs) > 0 && reqs[0].Write {
+		if err := d.k.FS.Unlink(c, d.path); err != nil {
+			panic(err)
+		}
+		for _, r := range reqs {
+			d.frames = append(d.frames, r.PFN)
+			d.pinned = append(d.pinned, d.k.pageRefCount(r.PFN) > 0)
+		}
+	}
+	d.BlockDriver.Submit(c, reqs)
+}
+
+func TestFSWritebackPinsFramesAgainstUnlink(t *testing.T) {
+	k := nativeKernel(t, 1)
+	drv := &unlinkDuringIO{BlockDriver: k.Blk, k: k, path: "/f"}
+	k.Blk = drv
+	run(t, k, func(p *Proc) {
+		fd, _ := p.Creat("/f")
+		p.Write(fd, 4*hw.PageSize)
+		p.Close(fd)
+		p.Syscall(func(c *hw.CPU) { k.FS.Sync(c) })
+	})
+	if len(drv.frames) != 4 {
+		t.Fatalf("writeback submitted %d frames, want 4", len(drv.frames))
+	}
+	for i, pfn := range drv.frames {
+		if !drv.pinned[i] {
+			t.Fatalf("frame %d was freed while the disk read it", pfn)
+		}
+		if n := k.pageRefCount(pfn); n != 0 {
+			t.Fatalf("frame %d still has %d references after the I/O", pfn, n)
+		}
+	}
+}

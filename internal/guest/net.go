@@ -46,6 +46,17 @@ func (k *Kernel) nicISR(c *hw.CPU) {
 	}
 }
 
+// hasFrame reports whether a frame matching proto (0 = any) is queued.
+// Called with the kernel lock held.
+func (k *Kernel) hasFrame(proto byte) bool {
+	for _, fr := range k.netRx {
+		if proto == 0 || fr.Proto == proto {
+			return true
+		}
+	}
+	return false
+}
+
 // popFrame removes the first queued frame matching proto (0 = any).
 func (k *Kernel) popFrame(c *hw.CPU, proto byte) (Frame, bool) {
 	k.acquire(c)
@@ -82,7 +93,7 @@ func (p *Proc) RecvFrame(proto byte) Frame {
 			if k.Net.Pump(c) {
 				continue
 			}
-			k.sleepOn(&k.netRxWait, p)
+			k.sleepOn(&k.netRxWait, p, func() bool { return k.hasFrame(proto) })
 			c = p.CPU()
 		}
 	})

@@ -34,7 +34,7 @@ func (p *Proc) PipeWrite(pi *Pipe, n int) {
 		space := pi.cap - pi.avail
 		if space == 0 {
 			k.release(c)
-			k.sleepOn(&pi.writers, p)
+			k.sleepOn(&pi.writers, p, func() bool { return pi.avail < pi.cap })
 			c = p.CPU()
 			continue
 		}
@@ -62,7 +62,7 @@ func (p *Proc) PipeRead(pi *Pipe, n int) {
 		k.acquire(c)
 		if pi.avail == 0 {
 			k.release(c)
-			k.sleepOn(&pi.readers, p)
+			k.sleepOn(&pi.readers, p, func() bool { return pi.avail > 0 })
 			c = p.CPU()
 			continue
 		}

@@ -330,12 +330,6 @@ func (p *Proc) maybeResched() {
 	}
 }
 
-// block parks the process in the Blocked state; a waker must requeue it.
-func (p *Proc) block() {
-	p.setState(ProcBlocked)
-	p.park()
-}
-
 // wake makes a blocked process runnable again.
 func (k *Kernel) wake(c *hw.CPU, p *Proc) {
 	if p.State() == ProcBlocked {
@@ -421,8 +415,9 @@ func (p *Proc) Wait() (Pid, int, bool) {
 				return ch.Pid, ch.exitCode, true
 			}
 		}
+		p.setState(ProcBlocked) // before an exiting child can look
 		k.release(c)
-		p.block()
+		p.park()
 		c = p.CPU()
 	}
 }
@@ -432,8 +427,9 @@ func (p *Proc) Sleep(d hw.Cycles) {
 	k := p.K
 	c := p.CPU()
 	deadline := c.Now() + d
+	p.setState(ProcBlocked) // before the timer can fire on another CPU
 	k.timers.add(c, deadline, func(tc *hw.CPU) { k.wake(tc, p) })
-	p.block()
+	p.park()
 }
 
 // Syscall wraps fn in user->kernel->user privilege transitions with the
@@ -457,13 +453,26 @@ type waitQueue struct {
 	procs []*Proc
 }
 
-// sleepOn parks p on q (caller must already hold no kernel lock).
-func (k *Kernel) sleepOn(q *waitQueue, p *Proc) {
+// sleepOn parks p on q unless ready, evaluated under the kernel lock,
+// already holds (caller must already hold no kernel lock).
+//
+// Checking ready and joining q happen in one critical section: a waker
+// on another CPU that changed the condition after the caller's own
+// check, but before p joined q, found q empty, and p would sleep
+// through the change. p is also Blocked before the lock drops, since
+// wake requeues only a Blocked process. A waker that gets in before p
+// parks is fine: dispatch waits for p to park before resuming it.
+func (k *Kernel) sleepOn(q *waitQueue, p *Proc, ready func() bool) {
 	c := p.CPU()
 	k.acquire(c)
+	if ready() {
+		k.release(c)
+		return
+	}
 	q.procs = append(q.procs, p)
+	p.setState(ProcBlocked)
 	k.release(c)
-	p.block()
+	p.park()
 }
 
 // wakeAll moves every waiter on q to the run queue.

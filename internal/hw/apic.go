@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -11,9 +12,22 @@ import (
 // enabled. Mercury's SMP mode-switch protocol (§5.4) is built on the IPI
 // path: the control processor posts VecModeSwitchAP to every other core
 // and the cores rendezvous on shared counters.
+//
+// The owning CPU polls on every Charge, so the poll must be cheap when
+// nothing is due: npending and dueAt mirror the queue length and the
+// armed deadline, are written only under mu, and are read without it.
+// A poll that sees something due re-checks under mu. The zero value is
+// a LAPIC with nothing pending and the timer disarmed.
 type LAPIC struct {
 	mu      sync.Mutex
 	pending []pendingVec // FIFO of pending vectors
+
+	// npending mirrors len(pending).
+	npending atomic.Int32
+	// dueAt mirrors the timer: 0 while disarmed, else the armed
+	// deadline plus one (saturating, so it never reads later than the
+	// deadline).
+	dueAt atomic.Uint64
 
 	// clk is the owning CPU's clock (the shared TSC timebase), read to
 	// stamp each posted vector so delivery latency is observable; nil in
@@ -56,6 +70,7 @@ func (l *LAPIC) Post(vector int) {
 	}
 	l.mu.Lock()
 	l.pending = append(l.pending, pendingVec{vec: vector, posted: ts})
+	l.npending.Store(int32(len(l.pending)))
 	l.mu.Unlock()
 }
 
@@ -76,6 +91,9 @@ func (l *LAPIC) ClearDropped() uint64 {
 // take removes and returns the next pending vector plus its post stamp
 // (0 when the LAPIC has no clock).
 func (l *LAPIC) take() (vec int, posted Cycles, ok bool) {
+	if l.npending.Load() == 0 {
+		return 0, 0, false
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if len(l.pending) == 0 {
@@ -83,15 +101,12 @@ func (l *LAPIC) take() (vec int, posted Cycles, ok bool) {
 	}
 	p := l.pending[0]
 	l.pending = l.pending[1:]
+	l.npending.Store(int32(len(l.pending)))
 	return p.vec, p.posted, true
 }
 
 // HasPending reports whether any vector is waiting.
-func (l *LAPIC) HasPending() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.pending) > 0
-}
+func (l *LAPIC) HasPending() bool { return l.npending.Load() > 0 }
 
 // ArmTimer programs the one-shot local timer.
 func (l *LAPIC) ArmTimer(deadline Cycles, vector int) {
@@ -99,6 +114,7 @@ func (l *LAPIC) ArmTimer(deadline Cycles, vector int) {
 	l.timerArmed = true
 	l.timerDeadline = deadline
 	l.timerVec = vector
+	l.dueAt.Store(min(deadline, math.MaxUint64-1) + 1)
 	l.mu.Unlock()
 }
 
@@ -106,16 +122,21 @@ func (l *LAPIC) ArmTimer(deadline Cycles, vector int) {
 func (l *LAPIC) DisarmTimer() {
 	l.mu.Lock()
 	l.timerArmed = false
+	l.dueAt.Store(0)
 	l.mu.Unlock()
 }
 
 // timerDue pops the timer vector if the deadline has passed, returning
 // the armed deadline so delivery jitter (now − deadline) is observable.
 func (l *LAPIC) timerDue(now Cycles) (vec int, deadline Cycles, ok bool) {
+	if d := l.dueAt.Load(); d == 0 || now < d-1 {
+		return 0, 0, false
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.timerArmed && now >= l.timerDeadline {
 		l.timerArmed = false
+		l.dueAt.Store(0)
 		return l.timerVec, l.timerDeadline, true
 	}
 	return 0, 0, false
@@ -124,6 +145,9 @@ func (l *LAPIC) timerDue(now Cycles) (vec int, deadline Cycles, ok bool) {
 // NextTimerDeadline returns the armed deadline, if any. The idle loop uses
 // it to fast-forward simulated time instead of spinning.
 func (l *LAPIC) NextTimerDeadline() (Cycles, bool) {
+	if l.dueAt.Load() == 0 {
+		return 0, false
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.timerDeadline, l.timerArmed

@@ -55,9 +55,16 @@ func (v VPN) Addr() VirtAddr { return VirtAddr(v) << PageShift }
 // PhysMem is the machine's physical memory, divided into 4 KB frames.
 // Frame contents are allocated lazily so large simulated memories stay
 // cheap on the host. PhysMem is safe for concurrent use by multiple CPUs.
+//
+// Backing pages live in a two-level directory: one atomic pointer per
+// chunk of chunkFrames frames, each chunk an array of atomic frame
+// pointers. Chunks and pages are published by compare-and-swap on first
+// touch, so every access is two plain loads on the hot path and there is
+// no lock. The directory orders only the publication of a backing page;
+// ordering of frame contents across CPUs comes from the guest's own
+// locks and the lockstep throttle, exactly as it would on hardware.
 type PhysMem struct {
-	mu     sync.RWMutex
-	frames [][]byte // nil until first written
+	dir    []atomic.Pointer[frameChunk] // nil until a frame in it is touched
 	nframe PFN
 
 	// dirty, when non-nil, records every frame written since the last
@@ -75,6 +82,14 @@ type PhysMem struct {
 	cowMu  sync.Mutex
 	cow    map[PFN]*cowSource
 }
+
+// chunkFrames is the number of frames one directory chunk covers (2 MB
+// of simulated memory, one 4 KB host page of pointers).
+const chunkFrames = 512
+
+// frameChunk holds the backing pages of chunkFrames consecutive frames,
+// nil until first touched.
+type frameChunk [chunkFrames]atomic.Pointer[[PageSize]byte]
 
 // cowSource backs one copy-on-write frame: data is the shared read-only
 // page (aliased, never written through), onPromote is invoked after the
@@ -138,7 +153,10 @@ func (m *PhysMem) markDirty(pfn PFN) {
 // down to whole frames).
 func NewPhysMem(size uint64) *PhysMem {
 	n := PFN(size >> PageShift)
-	return &PhysMem{frames: make([][]byte, n), nframe: n}
+	return &PhysMem{
+		dir:    make([]atomic.Pointer[frameChunk], (uint64(n)+chunkFrames-1)/chunkFrames),
+		nframe: n,
+	}
 }
 
 // NumFrames returns the number of physical frames.
@@ -147,20 +165,51 @@ func (m *PhysMem) NumFrames() PFN { return m.nframe }
 // Valid reports whether pfn addresses an existing frame.
 func (m *PhysMem) Valid(pfn PFN) bool { return pfn < m.nframe }
 
+// peek returns pfn's backing page without allocating: nil when the
+// frame has never been touched.
+func (m *PhysMem) peek(pfn PFN) *[PageSize]byte {
+	c := m.dir[pfn/chunkFrames].Load()
+	if c == nil {
+		return nil
+	}
+	return c[pfn%chunkFrames].Load()
+}
+
+// slot returns the directory entry of pfn, publishing its chunk first
+// if no frame in the chunk has been touched yet.
+func (m *PhysMem) slot(pfn PFN) *atomic.Pointer[[PageSize]byte] {
+	d := &m.dir[pfn/chunkFrames]
+	c := d.Load()
+	if c == nil {
+		c = new(frameChunk)
+		if !d.CompareAndSwap(nil, c) {
+			c = d.Load()
+		}
+	}
+	return &c[pfn%chunkFrames]
+}
+
 // frame returns the backing slice for pfn, allocating it if needed.
+// Concurrent first touches agree on one page: the loser of the
+// compare-and-swap adopts the winner's.
 func (m *PhysMem) frame(pfn PFN) []byte {
-	m.mu.RLock()
-	f := m.frames[pfn]
-	m.mu.RUnlock()
-	if f != nil {
-		return f
+	if p := m.peek(pfn); p != nil {
+		return p[:]
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.frames[pfn] == nil {
-		m.frames[pfn] = make([]byte, PageSize)
+	s := m.slot(pfn)
+	p := new([PageSize]byte)
+	if !s.CompareAndSwap(nil, p) {
+		p = s.Load()
 	}
-	return m.frames[pfn]
+	return p[:]
+}
+
+// drop discards pfn's private backing (it reads as zero again) without
+// publishing a chunk that was never touched.
+func (m *PhysMem) drop(pfn PFN) {
+	if c := m.dir[pfn/chunkFrames].Load(); c != nil {
+		c[pfn%chunkFrames].Store(nil)
+	}
 }
 
 // MapShared maps pfn copy-on-write onto a shared read-only page: reads
@@ -175,9 +224,7 @@ func (m *PhysMem) MapShared(pfn PFN, data []byte, onPromote func(PFN)) error {
 	if len(data) != PageSize {
 		return fmt.Errorf("hw: MapShared frame %d: page is %d bytes", pfn, len(data))
 	}
-	m.mu.Lock()
-	m.frames[pfn] = nil // shared content replaces any private copy
-	m.mu.Unlock()
+	m.drop(pfn) // shared content replaces any private copy
 	m.cowMu.Lock()
 	if m.cow == nil {
 		m.cow = make(map[PFN]*cowSource)
@@ -346,9 +393,7 @@ func (m *PhysMem) ZeroFrame(pfn PFN) {
 		}
 		m.cowMu.Unlock()
 		if s != nil {
-			m.mu.Lock()
-			m.frames[pfn] = nil
-			m.mu.Unlock()
+			m.drop(pfn)
 			if s.onPromote != nil {
 				s.onPromote(pfn)
 			}
@@ -356,15 +401,11 @@ func (m *PhysMem) ZeroFrame(pfn PFN) {
 			return
 		}
 	}
-	m.mu.RLock()
-	f := m.frames[pfn]
-	m.mu.RUnlock()
+	f := m.peek(pfn)
 	if f == nil {
 		return // lazily-allocated frames are already zero
 	}
-	for i := range f {
-		f[i] = 0
-	}
+	*f = [PageSize]byte{}
 	m.markDirty(pfn)
 }
 
@@ -392,16 +433,14 @@ func (m *PhysMem) FrameBytesRO(pfn PFN) []byte {
 // are recorded as nil to keep checkpoints compact; CoW-mapped frames are
 // recorded with their shared content (what a read observes).
 func (m *PhysMem) Snapshot() [][]byte {
-	m.mu.RLock()
-	out := make([][]byte, len(m.frames))
-	for i, f := range m.frames {
-		if f != nil {
+	out := make([][]byte, m.nframe)
+	for i := range out {
+		if f := m.peek(PFN(i)); f != nil {
 			cp := make([]byte, PageSize)
-			copy(cp, f)
+			copy(cp, f[:])
 			out[i] = cp
 		}
 	}
-	m.mu.RUnlock()
 	if m.cowCnt.Load() != 0 {
 		m.cowMu.Lock()
 		for pfn, s := range m.cow {
@@ -416,26 +455,25 @@ func (m *PhysMem) Snapshot() [][]byte {
 
 // Restore overwrites physical memory from a snapshot taken by Snapshot.
 // Any live CoW mappings are dropped (without running promotion hooks):
-// the snapshot's contents win.
+// the snapshot's contents win. A snapshot of the wrong size is rejected
+// before anything changes.
 func (m *PhysMem) Restore(snap [][]byte) error {
+	if len(snap) != int(m.nframe) {
+		return fmt.Errorf("hw: snapshot has %d frames, memory has %d",
+			len(snap), m.nframe)
+	}
 	m.cowMu.Lock()
 	m.cowCnt.Add(-int64(len(m.cow)))
 	m.cow = nil
 	m.cowMu.Unlock()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(snap) != len(m.frames) {
-		return fmt.Errorf("hw: snapshot has %d frames, memory has %d",
-			len(snap), len(m.frames))
-	}
 	for i, f := range snap {
 		if f == nil {
-			m.frames[i] = nil
+			m.drop(PFN(i))
 			continue
 		}
-		cp := make([]byte, PageSize)
-		copy(cp, f)
-		m.frames[i] = cp
+		p := new([PageSize]byte)
+		copy(p[:], f)
+		m.slot(PFN(i)).Store(p)
 	}
 	return nil
 }
