@@ -80,6 +80,23 @@ func main() {
 	}
 	any := false
 
+	// writeMetrics dumps col's registry as JSON to name under
+	// -metricsdir.
+	writeMetrics := func(name string, col *obs.Collector) {
+		path := filepath.Join(*metricsDir, name)
+		f, err := os.Create(path)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := col.Registry.WriteJSON(f); err != nil {
+			log.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("wrote %s\n", path)
+	}
+
 	// collectorsFor returns per-configuration collectors (and a dump
 	// function) when -metrics is on, else zero options.
 	collectorsFor := func(expName string, ncpu int) (bench.Options, func()) {
@@ -89,17 +106,7 @@ func main() {
 		cs := bench.NewCollectorSet(ncpu)
 		return bench.Options{CollectorFor: cs.For}, func() {
 			for _, key := range cs.Keys() {
-				path := filepath.Join(*metricsDir,
-					fmt.Sprintf("metrics-%s-%s.json", expName, key))
-				f, err := os.Create(path)
-				if err != nil {
-					log.Fatal(err)
-				}
-				if err := cs.For(key).Registry.WriteJSON(f); err != nil {
-					log.Fatal(err)
-				}
-				f.Close()
-				fmt.Printf("wrote %s\n", path)
+				writeMetrics(fmt.Sprintf("metrics-%s-%s.json", expName, key), cs.For(key))
 			}
 			cs.WriteTraceHealth(os.Stdout)
 		}
@@ -181,16 +188,7 @@ func main() {
 		if col != nil {
 			fmt.Println()
 			bench.WritePhaseBreakdown(os.Stdout, col, hw.DefaultHz)
-			path := filepath.Join(*metricsDir, "metrics-switch-M-N.json")
-			f, err := os.Create(path)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := col.Registry.WriteJSON(f); err != nil {
-				log.Fatal(err)
-			}
-			f.Close()
-			fmt.Printf("wrote %s\n", path)
+			writeMetrics("metrics-switch-M-N.json", col)
 			bench.WriteTraceHealth(os.Stdout, "M-N", col)
 		}
 		fmt.Println()
@@ -317,16 +315,7 @@ func main() {
 		}
 		bench.WriteChaos(os.Stdout, r)
 		if col != nil {
-			path := filepath.Join(*metricsDir, "metrics-chaos.json")
-			f, err := os.Create(path)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := col.Registry.WriteJSON(f); err != nil {
-				log.Fatal(err)
-			}
-			f.Close()
-			fmt.Printf("wrote %s\n", path)
+			writeMetrics("metrics-chaos.json", col)
 			bench.WriteTraceHealth(os.Stdout, "chaos", col)
 		}
 		fmt.Println()

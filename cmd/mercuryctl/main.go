@@ -9,7 +9,7 @@
 //	mercuryctl -demo scenarios   # healing + live update episodes
 //	mercuryctl stats             # run a workload, print the metrics
 //	                             # registry (Prometheus text format)
-//	mercuryctl trace -o t.json   # record spans + the xentrace ring,
+//	mercuryctl trace -o t.json   # record spans across a switch cycle,
 //	                             # export Chrome trace_event JSON
 //	mercuryctl chaos -seed 42    # seeded fault-injection campaign:
 //	                             # episode table + dependability report
@@ -33,8 +33,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"sort"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
@@ -188,7 +190,7 @@ func main() {
 		return
 	}
 	var col *obs.Collector
-	if sub != "" {
+	if sub != "" || *demo == "trace" {
 		// The collector must exist before boot so boot-time
 		// instrumentation (the vo objects) registers into it.
 		col = obs.New(*ncpu)
@@ -227,7 +229,7 @@ func main() {
 	case "stats":
 		stats(mc)
 	case "trace":
-		trace(mc)
+		trace(os.Stdout, mc, col)
 	default:
 		log.Fatalf("unknown demo %q", *demo)
 	}
@@ -240,34 +242,41 @@ func statsCmd(mc *core.Mercury, col *obs.Collector) {
 	col.Registry.WriteProm(os.Stdout)
 }
 
-// traceCmd records span traces plus the xentrace ring across an
-// attach/host/detach cycle and writes a Chrome trace_event file
-// (load it in chrome://tracing or Perfetto).
-func traceCmd(mc *core.Mercury, col *obs.Collector, out string) {
-	mc.VMM.Trace.Enable()
-	c := mc.M.BootCPU()
-	must(mc.SwitchSync(c, core.ModePartialVirtual))
-	domU, err := mc.VMM.HypDomctlCreateFromFrames(c, mc.Dom, "guest", 256)
-	must(err)
-	must(mc.VMM.HypDomctlDestroy(c, mc.Dom, domU.ID))
-	must(mc.SwitchSync(c, core.ModeNative))
-	mc.VMM.Trace.Disable()
-
+// switchCycle records the span trace of one attach/host/detach cycle
+// run by a process, so the attach has a live address space to pin:
+// switch to partial-virtual mode, create and destroy a guest, switch
+// back. Spans come back in start order, parents before children.
+func switchCycle(mc *core.Mercury, col *obs.Collector) []obs.Span {
+	boot := mc.M.BootCPU()
+	mc.K.Spawn(boot, "cycle", guest.DefaultImage("cycle"), func(p *guest.Proc) {
+		c := p.CPU()
+		must(mc.SwitchSync(c, core.ModePartialVirtual))
+		domU, err := mc.VMM.HypDomctlCreateFromFrames(c, mc.Dom, "guest", 256)
+		must(err)
+		must(mc.VMM.HypDomctlDestroy(c, mc.Dom, domU.ID))
+		must(mc.SwitchSync(c, core.ModeNative))
+	})
+	mc.K.Run(boot)
 	spans := col.Tracer.Spans()
-	evs, dropped := mc.VMM.Trace.SnapshotWithDropped()
-	ext := make([]obs.ExtEvent, 0, len(evs))
-	for _, e := range evs {
-		ext = append(ext, obs.ExtEvent{
-			TS: e.TSC, CPU: e.CPU, Name: "xentrace/" + e.Kind.String(),
-			Args: map[string]any{"dom": int(e.Dom), "arg": e.Arg},
-		})
-	}
+	sort.Slice(spans, func(i, j int) bool {
+		if spans[i].Start != spans[j].Start {
+			return spans[i].Start < spans[j].Start
+		}
+		return spans[i].ID < spans[j].ID
+	})
+	return spans
+}
+
+// traceCmd writes the span trace of a switch cycle as a Chrome
+// trace_event file (load it in chrome://tracing or Perfetto).
+func traceCmd(mc *core.Mercury, col *obs.Collector, out string) {
+	spans := switchCycle(mc, col)
 	f, err := os.Create(out)
 	must(err)
-	defer f.Close()
-	must(obs.WriteChromeTrace(f, mc.M.Hz, spans, ext))
-	fmt.Printf("wrote %s: %d spans, %d xentrace events (%d dropped by ring wrap, %d spans over budget)\n",
-		out, len(spans), len(evs), dropped, col.Tracer.Dropped())
+	must(obs.WriteChromeTrace(f, mc.M.Hz, spans))
+	must(f.Close())
+	fmt.Printf("wrote %s: %d spans (%d over budget)\n",
+		out, len(spans), col.Tracer.Dropped())
 }
 
 // chaosCmd runs the seeded fault-injection campaign and prints the
@@ -393,28 +402,21 @@ func stats(mc *core.Mercury) {
 		mc.M.Micros(mc.Stats.LastAttachCyc.Load()))
 }
 
-func trace(mc *core.Mercury) {
-	// Record every hypervisor decision across one attach/host/detach
-	// cycle — the xentrace view of a mode switch.
-	mc.VMM.Trace.Enable()
-	c := mc.M.BootCPU()
-	must(mc.SwitchSync(c, core.ModePartialVirtual))
-	domU, err := mc.VMM.HypDomctlCreateFromFrames(c, mc.Dom, "guest", 256)
-	must(err)
-	must(mc.VMM.HypDomctlDestroy(c, mc.Dom, domU.ID))
-	must(mc.SwitchSync(c, core.ModeNative))
-	mc.VMM.Trace.Disable()
-	evs := mc.VMM.Trace.Snapshot()
-	fmt.Printf("%d events:\n", len(evs))
-	show := evs
+// trace prints every hypervisor decision across one switch cycle, in
+// start order: the span view of a mode switch.
+func trace(w io.Writer, mc *core.Mercury, col *obs.Collector) {
+	spans := switchCycle(mc, col)
+	fmt.Fprintf(w, "%d events:\n", len(spans))
+	show := spans
 	if len(show) > 24 {
 		show = show[:24]
 	}
-	for _, e := range show {
-		fmt.Println("  " + e.String())
+	for _, s := range show {
+		fmt.Fprintf(w, "  [%12d] cpu%d %-28s dur=%-8d arg=%d\n",
+			s.Start, s.CPU, s.Name, s.Dur(), s.Arg)
 	}
-	if len(evs) > len(show) {
-		fmt.Printf("  ... %d more\n", len(evs)-len(show))
+	if len(spans) > len(show) {
+		fmt.Fprintf(w, "  ... %d more\n", len(spans)-len(show))
 	}
 }
 

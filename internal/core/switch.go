@@ -121,13 +121,6 @@ func (mc *Mercury) modeSwitchISR(c *hw.CPU, f *hw.TrapFrame) {
 	root.EndArg(c.Now(), 0)
 	mc.event(h, obs.EvModeSwitch, c.Now(), uint64(target), c.Now()-start)
 	mc.setLastError(nil)
-	if mc.VMM.Trace != nil {
-		if target == ModeNative {
-			mc.VMM.Trace.Emit(c, xen.TrcDetach, mc.Dom.ID, uint64(c.Now()-start))
-		} else {
-			mc.VMM.Trace.Emit(c, xen.TrcAttach, mc.Dom.ID, uint64(c.Now()-start))
-		}
-	}
 	mc.mode.Store(int32(target))
 	mc.pending.Store(-1)
 	mc.step(c, StepRendezvousRelease, target)

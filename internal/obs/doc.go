@@ -11,8 +11,7 @@
 // layer reaches telemetry through its machine.
 //
 // Discipline: when no collector is installed, every instrumentation
-// hook in the tree must cost exactly one atomic load (the same
-// discipline as xen.TraceBuffer.Emit). Sites do
+// hook in the tree must cost exactly one atomic load. Sites do
 //
 //	if col := m.Telemetry(); col != nil { ... }
 //

@@ -138,15 +138,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 
 // --- Chrome trace_event export ---
 
-// ExtEvent is an externally sourced instant event (the xentrace ring)
-// merged into the Chrome export on the same TSC timebase.
-type ExtEvent struct {
-	TS   uint64
-	CPU  int
-	Name string
-	Args map[string]any
-}
-
 // chromeEvent is one trace_event record. Field names follow the
 // Trace Event Format (chrome://tracing / Perfetto).
 type chromeEvent struct {
@@ -162,19 +153,19 @@ type chromeEvent struct {
 
 // chromeTrace is the JSON-object envelope form of a trace file.
 type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
+	Events          []chromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// WriteChromeTrace renders spans plus external instants as Chrome
-// trace_event JSON. Cycle timestamps convert to microseconds at hz;
-// span nesting is carried by complete ("X") events, instants by "i".
-func WriteChromeTrace(w io.Writer, hz uint64, spans []Span, ext []ExtEvent) error {
+// WriteChromeTrace renders spans as Chrome trace_event JSON. Cycle
+// timestamps convert to microseconds at hz; span nesting is carried by
+// complete ("X") events, instants by "i".
+func WriteChromeTrace(w io.Writer, hz uint64, spans []Span) error {
 	if hz == 0 {
 		return fmt.Errorf("obs: chrome export needs a nonzero clock frequency")
 	}
 	us := func(cyc uint64) float64 { return float64(cyc) / float64(hz) * 1e6 }
-	tr := chromeTrace{DisplayTimeUnit: "ns", TraceEvents: []chromeEvent{}}
+	tr := chromeTrace{DisplayTimeUnit: "ns", Events: []chromeEvent{}}
 	for _, s := range spans {
 		ev := chromeEvent{Name: s.Name, TS: us(s.Start), PID: 1, TID: s.CPU,
 			Args: map[string]any{"span_id": s.ID, "parent": s.Parent, "arg": s.Arg,
@@ -187,13 +178,7 @@ func WriteChromeTrace(w io.Writer, hz uint64, spans []Span, ext []ExtEvent) erro
 			d := us(s.Dur())
 			ev.Dur = &d
 		}
-		tr.TraceEvents = append(tr.TraceEvents, ev)
-	}
-	for _, e := range ext {
-		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-			Name: e.Name, Ph: "i", Scope: "t", TS: us(e.TS), PID: 1, TID: e.CPU,
-			Args: e.Args,
-		})
+		tr.Events = append(tr.Events, ev)
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(tr)
@@ -206,16 +191,16 @@ func WriteChromeTrace(w io.Writer, hz uint64, spans []Span, ext []ExtEvent) erro
 // exporter's output through this.
 func ValidateChromeTrace(data []byte) error {
 	var tr struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+		Events []map[string]any `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(data, &tr); err != nil {
 		return fmt.Errorf("obs: trace is not valid JSON: %w", err)
 	}
-	if tr.TraceEvents == nil {
+	if tr.Events == nil {
 		return fmt.Errorf("obs: trace has no traceEvents array")
 	}
 	known := map[string]bool{"X": true, "i": true, "B": true, "E": true, "M": true}
-	for i, ev := range tr.TraceEvents {
+	for i, ev := range tr.Events {
 		name, ok := ev["name"].(string)
 		if !ok || name == "" {
 			return fmt.Errorf("obs: event %d: missing name", i)

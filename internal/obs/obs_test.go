@@ -44,9 +44,9 @@ func TestRegisterCounterAdoptsExisting(t *testing.T) {
 	r := NewRegistry()
 	free := NewCounter()
 	free.Add(7)
-	got := r.RegisterCounter(free, "vo", "calls_total", L("object", "direct"))
-	if got != free {
-		t.Fatal("adoption returned a different counter")
+	r.RegisterCounter(free, "vo", "calls_total", L("object", "direct"))
+	if got := r.Counter("vo", "calls_total", L("object", "direct")); got != free {
+		t.Fatal("adoption registered a different counter")
 	}
 	// The registry now reads through the same object.
 	free.Add(1)

@@ -175,11 +175,16 @@ func (r *Registry) Histogram(subsystem, name string, labels ...Label) *Histogram
 
 // RegisterCounter adopts an existing counter under the given identity,
 // so a subsystem that counts unconditionally (internal/vo) can expose
-// the same object through the registry. Returns the registered counter
-// (the existing one if the identity was already present).
-func (r *Registry) RegisterCounter(c *Counter, subsystem, name string, labels ...Label) *Counter {
-	return r.lookup(subsystem, name, labels, KindCounter,
-		func(m *Metric) { m.counter = c }).counter
+// the same object through the registry. Adopting the same counter again
+// is a no-op; an identity already held by a different counter panics,
+// as a kind mismatch does: one of the two counts would be lost.
+func (r *Registry) RegisterCounter(c *Counter, subsystem, name string, labels ...Label) {
+	m := r.lookup(subsystem, name, labels, KindCounter,
+		func(m *Metric) { m.counter = c })
+	if m.counter != c {
+		panic(fmt.Sprintf("obs: %s already adopted a different counter",
+			key(subsystem, name, m.Labels)))
+	}
 }
 
 // Each calls fn for every registered metric in sorted key order.

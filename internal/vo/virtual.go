@@ -2,8 +2,10 @@ package vo
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/hw"
+	"repro/internal/obs"
 	"repro/internal/xen"
 )
 
@@ -49,7 +51,8 @@ const mcBatchCap = 512
 
 // NewVirtual returns the virtual-mode object for domain d.
 func NewVirtual(v *xen.VMM, d *xen.Domain) *Virtual {
-	o := &Virtual{V: v, D: d, Stats: newStats(v.M, "virtual")}
+	o := &Virtual{V: v, D: d,
+		Stats: newStats(v.M, "virtual", obs.L("dom", strconv.Itoa(int(d.ID))))}
 	o.lazy = make([]lazyBuf, len(v.M.CPUs))
 	for i := range o.lazy {
 		o.lazy[i].mc.Ops = make([]xen.MCOp, 0, mcBatchCap+4)

@@ -75,21 +75,27 @@ type Object interface {
 // Stats counts operations through a virtualization object. The fields
 // are free-standing obs counters: when the owning machine carries a
 // telemetry collector at construction time, the constructors register
-// these same objects into its registry (labelled by object name), so
-// Stats readers and the metrics exporters observe one shared count —
-// a single counting path, no parallel bookkeeping.
+// these same objects into its registry, so Stats readers and the
+// metrics exporters observe one shared count — a single counting path,
+// no parallel bookkeeping. Each instance registers under its own
+// identity: object name and machine name, plus the domain ID for a
+// virtual object, so machines sharing a collector (a fleet) and the
+// domains sharing a VMM (the driver domain and a hosted domU) each
+// export their own series.
 type Stats struct {
 	Calls     *obs.Counter
 	PTEWrites *obs.Counter
 }
 
 // newStats builds the counters for one object instance, adopting them
-// into m's registry when a collector is installed.
-func newStats(m *hw.Machine, object string) Stats {
+// into m's registry when a collector is installed. extra labels further
+// distinguish instances on one machine.
+func newStats(m *hw.Machine, object string, extra ...obs.Label) Stats {
 	s := Stats{Calls: obs.NewCounter(), PTEWrites: obs.NewCounter()}
 	if col := m.Telemetry(); col != nil {
-		col.Registry.RegisterCounter(s.Calls, "vo", "calls_total", obs.L("object", object))
-		col.Registry.RegisterCounter(s.PTEWrites, "vo", "pte_writes_total", obs.L("object", object))
+		labels := append([]obs.Label{obs.L("object", object), obs.L("machine", m.Name)}, extra...)
+		col.Registry.RegisterCounter(s.Calls, "vo", "calls_total", labels...)
+		col.Registry.RegisterCounter(s.PTEWrites, "vo", "pte_writes_total", labels...)
 	}
 	return s
 }

@@ -131,7 +131,6 @@ func (d *Domain) bounce(c *hw.CPU, f *hw.TrapFrame) {
 	}
 	c.Charge(d.VMM.M.Costs.FaultBounce)
 	d.Stats.FaultBounces.Add(1)
-	d.VMM.traceEmit(c, TrcFaultBounce, d, uint64(f.Vector))
 	prev := c.SetMode(hw.PL1)
 	g.Handler(c, f)
 	c.SetMode(prev)

@@ -49,7 +49,8 @@ func (d *Domain) SetPortHandler(p Port, h func(c *hw.CPU)) {
 
 // EvtchnAllocUnbound creates a port in d that remote may later bind to.
 func (v *VMM) EvtchnAllocUnbound(c *hw.CPU, d *Domain, remote DomID) Port {
-	defer v.enter(c, d)()
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	p := d.allocPort()
 	d.ports[p].state = chanUnbound
 	d.ports[p].allowedDom = remote
@@ -59,7 +60,8 @@ func (v *VMM) EvtchnAllocUnbound(c *hw.CPU, d *Domain, remote DomID) Port {
 // EvtchnBindInterdomain connects a new port in d to remoteDom's
 // unbound remotePort, completing the pair.
 func (v *VMM) EvtchnBindInterdomain(c *hw.CPU, d *Domain, remoteDom DomID, remotePort Port) (Port, error) {
-	defer v.enter(c, d)()
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	rd, ok := v.Domains[remoteDom]
 	if !ok {
 		return 0, fmt.Errorf("xen: bind to nonexistent dom%d", remoteDom)
@@ -87,7 +89,8 @@ func (v *VMM) EvtchnBindInterdomain(c *hw.CPU, d *Domain, remoteDom DomID, remot
 // uniprocessor Xen behaviour); otherwise the event stays pending until
 // the remote next runs or re-enables its virtual IF.
 func (v *VMM) EvtchnSend(c *hw.CPU, d *Domain, p Port) error {
-	defer v.enter(c, d)()
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	if int(p) >= len(d.ports) || d.ports[p].state != chanInterdomain {
 		return fmt.Errorf("xen: dom%d send on invalid port %d", d.ID, p)
 	}
@@ -97,12 +100,7 @@ func (v *VMM) EvtchnSend(c *hw.CPU, d *Domain, p Port) error {
 		return fmt.Errorf("xen: dom%d send to vanished dom%d", d.ID, ch.remoteDom)
 	}
 	c.Charge(v.M.Costs.EventSend)
-	d.Stats.EventsOut.Add(1)
-	v.traceEmit(c, TrcEventSend, d, uint64(p))
-	if h := v.tel(); h != nil {
-		h.eventsSent.Inc()
-		h.col.Tracer.Instant(c.ID, c.Now(), "xen/event-send", uint64(p))
-	}
+	v.noteEventSend(c, d, p)
 	rd.ports[ch.remotePort].pending = true
 	rd.Stats.EventsIn.Add(1)
 	v.maybeDeliverUpcall(c, rd)
@@ -123,11 +121,7 @@ func (v *VMM) evtchnMarkPending(c *hw.CPU, d *Domain, p Port, m *Multicall) erro
 		return fmt.Errorf("xen: dom%d send to vanished dom%d", d.ID, ch.remoteDom)
 	}
 	c.Charge(v.M.Costs.EventSend)
-	d.Stats.EventsOut.Add(1)
-	v.traceEmit(c, TrcEventSend, d, uint64(p))
-	if h := v.tel(); h != nil {
-		h.eventsSent.Inc()
-	}
+	v.noteEventSend(c, d, p)
 	rd.ports[ch.remotePort].pending = true
 	rd.Stats.EventsIn.Add(1)
 	for _, k := range m.kicked {
@@ -137,6 +131,16 @@ func (v *VMM) evtchnMarkPending(c *hw.CPU, d *Domain, p Port, m *Multicall) erro
 	}
 	m.kicked = append(m.kicked, rd)
 	return nil
+}
+
+// noteEventSend counts one event sent from d's port p and traces it as
+// an "xen/event-send" instant, for the direct and the batched send alike.
+func (v *VMM) noteEventSend(c *hw.CPU, d *Domain, p Port) {
+	d.Stats.EventsOut.Add(1)
+	if h := v.tel(); h != nil {
+		h.eventsSent.Inc()
+		h.col.Tracer.Instant(c.ID, c.Now(), "xen/event-send", uint64(p))
+	}
 }
 
 // maybeDeliverUpcall switches to rd and drains its pending ports if it is

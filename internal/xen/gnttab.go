@@ -57,7 +57,8 @@ func (d *Domain) GrantEnd(c *hw.CPU, ref GrantRef) error {
 // (granterID, ref). It returns the frame and an unmap closure. This is
 // the grant_table_op hypercall.
 func (v *VMM) GrantMap(c *hw.CPU, d *Domain, granterID DomID, ref GrantRef) (hw.PFN, func(), error) {
-	defer v.enter(c, d)()
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	granter, ok := v.Domains[granterID]
 	if !ok {
 		return 0, nil, fmt.Errorf("xen: grant map from nonexistent dom%d", granterID)
@@ -96,7 +97,8 @@ func (v *VMM) GrantMap(c *hw.CPU, d *Domain, granterID DomID, ref GrantRef) (hw.
 // unmap closure. Validation is all-or-nothing — any bad ref fails the
 // batch with nothing mapped.
 func (v *VMM) GrantMapBatch(c *hw.CPU, d *Domain, granterID DomID, refs []GrantRef) ([]hw.PFN, func(), error) {
-	defer v.enter(c, d)()
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	granter, ok := v.Domains[granterID]
 	if !ok {
 		return nil, nil, fmt.Errorf("xen: grant map from nonexistent dom%d", granterID)

@@ -19,7 +19,8 @@ type TrapEntry struct {
 // HypSetTrapTable is set_trap_table: the guest hands the VMM its
 // exception entry points so guest-bound traps can be bounced (§5.1.3).
 func (v *VMM) HypSetTrapTable(c *hw.CPU, d *Domain, entries []TrapEntry) {
-	defer v.enter(c, d)()
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	for _, e := range entries {
 		c.Charge(v.M.Costs.MemWrite)
 		d.TrapTable[e.Vector] = GuestGate{Present: true, Handler: e.Handler}
@@ -28,33 +29,38 @@ func (v *VMM) HypSetTrapTable(c *hw.CPU, d *Domain, entries []TrapEntry) {
 
 // HypBindVirqTimer binds the virtual timer interrupt to a guest handler.
 func (v *VMM) HypBindVirqTimer(c *hw.CPU, d *Domain, h func(c *hw.CPU)) {
-	defer v.enter(c, d)()
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	d.TimerHandler = h
 }
 
 // HypStackSwitch is stack_switch: the deprivileged kernel cannot reload
 // its own kernel stack pointer, so context switches make this call.
 func (v *VMM) HypStackSwitch(c *hw.CPU, d *Domain) {
-	defer v.enter(c, d)()
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	c.Charge(v.M.Costs.MemWrite * 2)
 }
 
 // HypSetTimer programs the domain's next timer interrupt via the VMM.
 func (v *VMM) HypSetTimer(c *hw.CPU, d *Domain, deadline hw.Cycles) {
-	defer v.enter(c, d)()
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	c.LAPIC.ArmTimer(deadline, hw.VecTimer)
 }
 
 // HypSchedYield is sched_op(yield).
 func (v *VMM) HypSchedYield(c *hw.CPU, d *Domain) {
-	defer v.enter(c, d)()
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	c.Charge(v.M.Costs.DomSwitch)
 }
 
 // HypSchedBlock is sched_op(block): the vcpu sleeps until an event is
 // pending for it.
 func (v *VMM) HypSchedBlock(c *hw.CPU, d *Domain) {
-	defer v.enter(c, d)()
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	c.IdleUntil(func() bool {
 		for _, ch := range d.ports {
 			if ch.pending {
@@ -68,7 +74,8 @@ func (v *VMM) HypSchedBlock(c *hw.CPU, d *Domain) {
 
 // HypConsoleIO appends to the domain's console buffer.
 func (v *VMM) HypConsoleIO(c *hw.CPU, d *Domain, s string) {
-	defer v.enter(c, d)()
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	c.Charge(hw.Cycles(len(s)) * v.M.Costs.MemWrite)
 	v.consoleLog = append(v.consoleLog, fmt.Sprintf("dom%d: %s", d.ID, s))
 }
@@ -80,7 +87,8 @@ func (v *VMM) ConsoleLog() []string { return v.consoleLog }
 // it (Mercury in partial-virtual mode uses it to host unmodified guests,
 // the M-U configuration).
 func (v *VMM) HypDomctlCreate(c *hw.CPU, d *Domain, name string, nframes hw.PFN) (*Domain, error) {
-	defer v.enter(c, d)()
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	if !d.Privileged {
 		return nil, fmt.Errorf("xen: dom%d is not privileged for domctl", d.ID)
 	}
@@ -92,7 +100,8 @@ func (v *VMM) HypDomctlCreate(c *hw.CPU, d *Domain, name string, nframes hw.PFN)
 // self-virtualized Mercury host uses to host unmodified guests (the M-U
 // configuration), since the machine pool was adopted by the running OS.
 func (v *VMM) HypDomctlCreateFromFrames(c *hw.CPU, d *Domain, name string, nframes hw.PFN) (*Domain, error) {
-	defer v.enter(c, d)()
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	if !d.Privileged {
 		return nil, fmt.Errorf("xen: dom%d is not privileged for domctl", d.ID)
 	}
@@ -117,7 +126,8 @@ func (v *VMM) HypDomctlCreateFromFrames(c *hw.CPU, d *Domain, name string, nfram
 
 // HypDomctlDestroy destroys a domain.
 func (v *VMM) HypDomctlDestroy(c *hw.CPU, d *Domain, id DomID) error {
-	defer v.enter(c, d)()
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	if !d.Privileged {
 		return fmt.Errorf("xen: dom%d is not privileged for domctl", d.ID)
 	}
@@ -130,7 +140,8 @@ func (v *VMM) HypDomctlDestroy(c *hw.CPU, d *Domain, id DomID) error {
 // HypDomctlPause pauses a domain (used by checkpoint and the
 // stop-and-copy phase of live migration).
 func (v *VMM) HypDomctlPause(c *hw.CPU, d *Domain, id DomID) error {
-	defer v.enter(c, d)()
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	if !d.Privileged {
 		return fmt.Errorf("xen: dom%d is not privileged for domctl", d.ID)
 	}
@@ -147,7 +158,8 @@ func (v *VMM) HypDomctlPause(c *hw.CPU, d *Domain, id DomID) error {
 
 // HypDomctlUnpause resumes a paused domain.
 func (v *VMM) HypDomctlUnpause(c *hw.CPU, d *Domain, id DomID) error {
-	defer v.enter(c, d)()
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	if !d.Privileged {
 		return fmt.Errorf("xen: dom%d is not privileged for domctl", d.ID)
 	}
@@ -181,7 +193,8 @@ func (v *VMM) Emulate(c *hw.CPU, d *Domain, apply func()) {
 // than its own level (DPL < 1), which would be a straight privilege
 // escalation.
 func (v *VMM) HypUpdateDescriptor(c *hw.CPU, d *Domain, g *hw.GDT, idx int, desc hw.SegDesc) error {
-	defer v.enter(c, d)()
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	if idx <= 0 || idx >= len(g.Entries) {
 		return fmt.Errorf("xen: descriptor index %d out of range", idx)
 	}

@@ -188,7 +188,7 @@ func (v *VMM) pinTable(c *hw.CPU, d *Domain, root hw.PFN, charge bool) error {
 	}
 	v.FT.GetRef(root)
 	v.markPinned(root, true)
-	v.traceEmit(c, TrcPin, d, uint64(root))
+	v.traceInstant(c, "xen/pin", uint64(root))
 	d.pinnedRoots[root] = true
 	if v.ShadowMode {
 		if _, err := v.BuildShadowTree(c, d, root); err != nil {
@@ -205,7 +205,7 @@ func (v *VMM) unpinTable(c *hw.CPU, d *Domain, root hw.PFN, charge bool) error {
 	}
 	delete(d.pinnedRoots, root)
 	v.markPinned(root, false)
-	v.traceEmit(c, TrcUnpin, d, uint64(root))
+	v.traceInstant(c, "xen/unpin", uint64(root))
 	if v.ShadowMode {
 		v.DropShadowTree(c, d, root)
 	}
@@ -272,8 +272,8 @@ func (v *VMM) applyUpdate(c *hw.CPU, d *Domain, u MMUUpdate, charge bool) error 
 // fork/exec within a small factor of native instead of paying a world
 // switch per entry.
 func (v *VMM) HypMMUUpdate(c *hw.CPU, d *Domain, batch []MMUUpdate) error {
-	fr := v.enterFast(c, d)
-	defer v.exitFast(c, d, fr)
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	v.lockMMU(c)
 	defer v.unlockMMU()
 	for _, u := range batch {
@@ -286,8 +286,8 @@ func (v *VMM) HypMMUUpdate(c *hw.CPU, d *Domain, batch []MMUUpdate) error {
 
 // HypPinTable is MMUEXT_PIN_L2_TABLE: validate a tree and pin its root.
 func (v *VMM) HypPinTable(c *hw.CPU, d *Domain, root hw.PFN) error {
-	fr := v.enterFast(c, d)
-	defer v.exitFast(c, d, fr)
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	v.lockMMU(c)
 	defer v.unlockMMU()
 	return v.pinTable(c, d, root, true)
@@ -295,8 +295,8 @@ func (v *VMM) HypPinTable(c *hw.CPU, d *Domain, root hw.PFN) error {
 
 // HypUnpinTable is MMUEXT_UNPIN_TABLE.
 func (v *VMM) HypUnpinTable(c *hw.CPU, d *Domain, root hw.PFN) error {
-	fr := v.enterFast(c, d)
-	defer v.exitFast(c, d, fr)
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	v.lockMMU(c)
 	defer v.unlockMMU()
 	return v.unpinTable(c, d, root, true)
@@ -324,8 +324,8 @@ func (v *VMM) newBaseptrLocked(c *hw.CPU, d *Domain, root hw.PFN) error {
 // HypNewBaseptr is MMUEXT_NEW_BASEPTR: install a pinned root as the
 // guest's page-directory base. The VMM performs the privileged CR3 load.
 func (v *VMM) HypNewBaseptr(c *hw.CPU, d *Domain, root hw.PFN) error {
-	fr := v.enterFast(c, d)
-	defer v.exitFast(c, d, fr)
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	v.lockMMU(c)
 	defer v.unlockMMU()
 	return v.newBaseptrLocked(c, d, root)
@@ -335,8 +335,8 @@ func (v *VMM) HypNewBaseptr(c *hw.CPU, d *Domain, root hw.PFN) error {
 // stack_switch plus MMUEXT_NEW_BASEPTR in one world switch, the way
 // Xen-Linux batches its __switch_to path.
 func (v *VMM) HypContextSwitch(c *hw.CPU, d *Domain, root hw.PFN) error {
-	fr := v.enterFast(c, d)
-	defer v.exitFast(c, d, fr)
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	v.lockMMU(c)
 	defer v.unlockMMU()
 	c.Charge(v.M.Costs.MemWrite * 2)    // stack switch bookkeeping
@@ -346,16 +346,16 @@ func (v *VMM) HypContextSwitch(c *hw.CPU, d *Domain, root hw.PFN) error {
 
 // HypTLBFlush is MMUEXT_TLB_FLUSH_LOCAL.
 func (v *VMM) HypTLBFlush(c *hw.CPU, d *Domain) {
-	fr := v.enterFast(c, d)
-	defer v.exitFast(c, d, fr)
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	c.TLB.Flush()
 	c.Charge(v.M.Costs.TLBFlush)
 }
 
 // HypInvlpg is MMUEXT_INVLPG_LOCAL.
 func (v *VMM) HypInvlpg(c *hw.CPU, d *Domain, va hw.VirtAddr) {
-	fr := v.enterFast(c, d)
-	defer v.exitFast(c, d, fr)
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	c.TLB.Invalidate(hw.VPNOf(va))
 	c.Charge(v.M.Costs.PrivInsn)
 }

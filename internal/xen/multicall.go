@@ -195,18 +195,18 @@ func (v *VMM) HypMulticall(c *hw.CPU, d *Domain, m *Multicall) error {
 	if len(m.Ops) == 0 {
 		return nil
 	}
-	fr := v.enterFast(c, d)
-	defer v.exitFast(c, d, fr)
+	fr := v.enter(c, d)
+	defer v.exit(c, d, fr)
 	v.Stats.Multicalls.Add(1)
 	v.Stats.MulticallOps.Add(uint64(len(m.Ops)))
 	if d != nil {
 		d.Stats.Multicalls.Add(1)
 		d.Stats.MulticallOps.Add(uint64(len(m.Ops)))
 	}
-	v.traceEmit(c, TrcMulticall, d, uint64(len(m.Ops)))
 	if fr.h != nil {
 		fr.h.multicalls.Inc()
 		fr.h.multicallOps.Add(uint64(len(m.Ops)))
+		fr.h.col.Tracer.Instant(c.ID, c.Now(), "xen/multicall", uint64(len(m.Ops)))
 	}
 	v.lockMMU(c)
 	err := v.multicallLocked(c, d, m)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/obs"
 )
 
 // TestMulticallChargesOneEntryPerBatch verifies the batching economics:
@@ -214,5 +215,47 @@ func TestMulticallEnqueueFlushAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("multicall enqueue+flush allocates %.1f per run, want 0", allocs)
+	}
+}
+
+// TestHypercallPrologueAllocFree is the allocation gate for the one
+// hypercall prologue: the enter/exit pair every hypercall goes through
+// must not touch the heap, with or without a collector installed.
+// stack_switch runs on every virtualized context switch. With a
+// collector, the tracer's span buffer grows by doubling; that
+// amortized growth stays below one allocation per call once warm.
+func TestHypercallPrologueAllocFree(t *testing.T) {
+	v, d0, dU, c := twoDomains(t)
+	p0 := v.EvtchnAllocUnbound(c, d0, dU.ID)
+	d0.SetPortHandler(p0, func(*hw.CPU) {})
+	pU, err := v.EvtchnBindInterdomain(c, dU, d0.ID, p0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	far := c.Now() + 1<<40
+	calls := []struct {
+		name string
+		fn   func()
+	}{
+		{"HypStackSwitch", func() { v.HypStackSwitch(c, dU) }},
+		{"HypSetTimer", func() { v.HypSetTimer(c, dU, far) }},
+		{"EvtchnSend", func() {
+			if err := v.EvtchnSend(c, dU, pU); err != nil {
+				panic(err)
+			}
+		}},
+	}
+	for _, withCol := range []bool{false, true} {
+		if withCol {
+			v.M.SetTelemetry(obs.New(1))
+		}
+		for _, call := range calls {
+			for i := 0; i < 64; i++ {
+				call.fn()
+			}
+			if a := testing.AllocsPerRun(100, call.fn); a != 0 {
+				t.Errorf("%s (collector %v) allocates %.1f per call, want 0", call.name, withCol, a)
+			}
+		}
 	}
 }

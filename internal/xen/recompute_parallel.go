@@ -324,7 +324,7 @@ func (v *VMM) RecomputeFrameInfoParallel(c *hw.CPU, d *Domain, roots []hw.PFN, w
 	}
 	for _, r := range roots {
 		d.pinnedRoots[r] = true
-		v.traceEmit(c, TrcPin, d, uint64(r))
+		v.traceInstant(c, "xen/pin", uint64(r))
 	}
 	return nil
 }

@@ -1,153 +1,132 @@
 package xen
 
 import (
-	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/obs"
 )
 
-func TestTraceCapturesHypercallsAndPins(t *testing.T) {
+// The span tracer is the VMM's only per-event trace: every hypervisor
+// decision point leaves a span or an instant when a collector is
+// installed. These tests pin down the records the decision points
+// without a span of their own (pin, unpin, batched event send) leave.
+
+// traced installs a fresh collector on v's machine.
+func traced(v *VMM) *obs.Collector {
+	col := obs.New(len(v.M.CPUs))
+	v.M.SetTelemetry(col)
+	return col
+}
+
+// named returns the spans called name, in completion order.
+func named(spans []obs.Span, name string) []obs.Span {
+	var out []obs.Span
+	for _, s := range spans {
+		if s.Name == name {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+func TestTracerCoversPinAndUnpin(t *testing.T) {
 	v, d, c := testVMM(t)
-	v.Trace.Enable()
 	tb, _ := buildTree(t, v, d, 2)
+	col := traced(v)
 	if err := v.HypPinTable(c, d, tb.Root); err != nil {
 		t.Fatal(err)
 	}
 	if err := v.HypUnpinTable(c, d, tb.Root); err != nil {
 		t.Fatal(err)
 	}
-	v.Trace.Disable()
-	evs := v.Trace.Snapshot()
-	kinds := map[TraceKind]int{}
-	for _, e := range evs {
-		kinds[e.Kind]++
-		if e.Dom != d.ID {
-			t.Fatalf("event for dom%d", e.Dom)
+	spans := col.Tracer.Spans()
+
+	hcs := named(spans, "xen/hypercall")
+	if len(hcs) != 2 {
+		t.Fatalf("%d xen/hypercall spans, want 2", len(hcs))
+	}
+	for _, hc := range hcs {
+		if hc.Arg != uint64(d.ID) || hc.Kind() != obs.SpanDur {
+			t.Fatalf("hypercall span %+v: want a duration with arg = dom%d", hc, d.ID)
 		}
 	}
-	if kinds[TrcHypercall] != 2 || kinds[TrcPin] != 1 || kinds[TrcUnpin] != 1 {
-		t.Fatalf("kinds = %v", kinds)
-	}
-	// Timestamps are monotonic (single CPU).
-	for i := 1; i < len(evs); i++ {
-		if evs[i].TSC < evs[i-1].TSC {
-			t.Fatal("trace out of order")
+	for i, name := range []string{"xen/pin", "xen/unpin"} {
+		ins := named(spans, name)
+		if len(ins) != 1 {
+			t.Fatalf("%d %s instants, want 1", len(ins), name)
+		}
+		in := ins[0]
+		if in.Kind() != obs.SpanInstant || in.Arg != uint64(tb.Root) {
+			t.Fatalf("%s %+v: want an instant with arg = root %d", name, in, tb.Root)
+		}
+		if in.Parent != hcs[i].ID {
+			t.Fatalf("%s parented under span %d, want its hypercall %d", name, in.Parent, hcs[i].ID)
+		}
+		if in.Start < hcs[i].Start || in.Start > hcs[i].End {
+			t.Fatalf("%s at %d outside its hypercall [%d, %d]", name, in.Start, hcs[i].Start, hcs[i].End)
 		}
 	}
-	if !strings.Contains(evs[0].String(), "hypercall") {
-		t.Fatalf("render: %s", evs[0])
-	}
 }
 
-func TestTraceDisabledIsFree(t *testing.T) {
-	v, d, c := testVMM(t)
-	// Disabled (default): nothing recorded.
-	v.HypSchedYield(c, d)
-	if evs := v.Trace.Snapshot(); len(evs) != 0 {
-		t.Fatalf("disabled trace recorded %d events", len(evs))
+// TestTracerCoversBatchedEventSend: an MCEvtchnSend inside a multicall
+// is traced like a direct EvtchnSend, under the multicall's hypercall.
+func TestTracerCoversBatchedEventSend(t *testing.T) {
+	v, d0, dU, c := twoDomains(t)
+	fired := 0
+	p0 := v.EvtchnAllocUnbound(c, d0, dU.ID)
+	d0.SetPortHandler(p0, func(*hw.CPU) { fired++ })
+	pU, err := v.EvtchnBindInterdomain(c, dU, d0.ID, p0)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestTraceRingWraps(t *testing.T) {
-	tb := NewTraceBuffer(4)
-	tb.Enable()
-	m := hw.NewMachine(hw.Config{MemBytes: 4 << 20, NumCPUs: 1})
-	c := m.BootCPU()
-	for i := 0; i < 7; i++ {
-		c.Charge(10)
-		tb.Emit(c, TrcEventSend, 1, uint64(i))
+	col := traced(v)
+	var mc Multicall
+	mc.AddStackSwitch()
+	mc.AddEvtchnSend(pU)
+	if err := v.HypMulticall(c, dU, &mc); err != nil {
+		t.Fatal(err)
 	}
-	evs := tb.Snapshot()
-	if len(evs) != 4 {
-		t.Fatalf("ring kept %d", len(evs))
+	if fired != 1 {
+		t.Fatalf("handler fired %d times, want 1", fired)
 	}
-	if evs[0].Arg != 3 || evs[3].Arg != 6 {
-		t.Fatalf("wrap lost order: %v", evs)
+	spans := col.Tracer.Spans()
+	hcs := named(spans, "xen/hypercall")
+	if len(hcs) != 1 {
+		t.Fatalf("%d xen/hypercall spans, want 1", len(hcs))
 	}
-	// Snapshot cleared the ring.
-	if len(tb.Snapshot()) != 0 {
-		t.Fatal("snapshot did not clear")
-	}
-}
-
-func TestTraceDroppedCountExact(t *testing.T) {
-	tb := NewTraceBuffer(4)
-	tb.Enable()
-	m := hw.NewMachine(hw.Config{MemBytes: 4 << 20, NumCPUs: 1})
-	c := m.BootCPU()
-	for i := 0; i < 7; i++ {
-		c.Charge(10)
-		tb.Emit(c, TrcEventSend, 1, uint64(i))
-	}
-	// Seven emits into a four-slot ring: records 0..2 were overwritten
-	// before any snapshot could return them.
-	evs, dropped := tb.SnapshotWithDropped()
-	if len(evs) != 4 || dropped != 3 {
-		t.Fatalf("kept %d dropped %d, want 4/3", len(evs), dropped)
-	}
-	for i, e := range evs {
-		if e.Arg != uint64(i+3) {
-			t.Fatalf("event %d has arg %d", i, e.Arg)
+	for _, want := range []struct {
+		name string
+		arg  uint64
+	}{{"xen/multicall", 2}, {"xen/event-send", uint64(pU)}} {
+		ins := named(spans, want.name)
+		if len(ins) != 1 {
+			t.Fatalf("%d %s instants, want 1", len(ins), want.name)
+		}
+		if ins[0].Arg != want.arg || ins[0].Parent != hcs[0].ID {
+			t.Fatalf("%s %+v: want arg %d under hypercall %d", want.name, ins[0], want.arg, hcs[0].ID)
 		}
 	}
-	if tb.Dropped() != 3 {
-		t.Fatalf("Dropped() = %d", tb.Dropped())
-	}
-	// The count is cumulative across snapshots: filling the ring again
-	// without wrapping adds nothing, wrapping once more adds one.
-	for i := 0; i < 4; i++ {
-		c.Charge(10)
-		tb.Emit(c, TrcEventSend, 1, uint64(i))
-	}
-	if _, dropped := tb.SnapshotWithDropped(); dropped != 3 {
-		t.Fatalf("non-wrapping refill changed dropped to %d", dropped)
-	}
-	for i := 0; i < 5; i++ {
-		c.Charge(10)
-		tb.Emit(c, TrcEventSend, 1, uint64(i))
-	}
-	if _, dropped := tb.SnapshotWithDropped(); dropped != 4 {
-		t.Fatalf("cumulative dropped = %d, want 4", dropped)
-	}
 }
 
-func TestTraceParallelEmit(t *testing.T) {
-	// Concurrent emitters from distinct CPUs must neither race (run
-	// with -race) nor lose records while the ring has room.
-	const perCPU = 200
-	ncpu := 4
-	tb := NewTraceBuffer(ncpu * perCPU)
-	tb.Enable()
-	m := hw.NewMachine(hw.Config{MemBytes: 16 << 20, NumCPUs: ncpu})
-	var wg sync.WaitGroup
-	for id := 0; id < ncpu; id++ {
-		wg.Add(1)
-		go func(c *hw.CPU) {
-			defer wg.Done()
-			for i := 0; i < perCPU; i++ {
-				c.Charge(1)
-				tb.Emit(c, TrcEventSend, DomID(c.ID), uint64(i))
+// TestTracerCoversRecomputePins: the attach-time recompute, serial or
+// sharded, leaves one xen/pin per pinned root.
+func TestTracerCoversRecomputePins(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		v, d, c := testVMM(t)
+		roots := buildForest(t, v, d, 5, 3)
+		col := traced(v)
+		if err := v.RecomputeFrameInfoAuto(c, d, roots, workers); err != nil {
+			t.Fatal(err)
+		}
+		pins := named(col.Tracer.Spans(), "xen/pin")
+		if len(pins) != len(roots) {
+			t.Fatalf("workers=%d: %d xen/pin instants for %d roots", workers, len(pins), len(roots))
+		}
+		for i, p := range pins {
+			if p.Arg != uint64(roots[i]) || !d.HasPinned(roots[i]) {
+				t.Fatalf("workers=%d: pin %d has arg %d, want pinned root %d", workers, i, p.Arg, roots[i])
 			}
-		}(m.CPUs[id])
-	}
-	wg.Wait()
-	evs, dropped := tb.SnapshotWithDropped()
-	if len(evs) != ncpu*perCPU || dropped != 0 {
-		t.Fatalf("kept %d dropped %d, want %d/0", len(evs), dropped, ncpu*perCPU)
-	}
-	// Per-CPU order is preserved even under interleaving.
-	lastArg := make(map[int]uint64)
-	for _, e := range evs {
-		if prev, ok := lastArg[e.CPU]; ok && e.Arg != prev+1 {
-			t.Fatalf("cpu%d emitted %d after %d", e.CPU, e.Arg, prev)
-		}
-		lastArg[e.CPU] = e.Arg
-	}
-	for id := 0; id < ncpu; id++ {
-		if lastArg[id] != perCPU-1 {
-			t.Fatalf("cpu%d last arg %d", id, lastArg[id])
 		}
 	}
 }

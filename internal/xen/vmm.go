@@ -39,9 +39,6 @@ type VMM struct {
 	// negotiate through.
 	Store *XenStore
 
-	// Trace is the xentrace-style event ring (disabled by default).
-	Trace *TraceBuffer
-
 	// sched is the credit-weight domain scheduler state.
 	sched DomSched
 
@@ -152,14 +149,17 @@ func (v *VMM) tel() *vmmObs {
 			grantBatches:   r.Counter("xen", "grant_map_batches_total"),
 			grantBatchRefs: r.Counter("xen", "grant_map_batch_refs_total"),
 		}
-		if v.Trace != nil {
-			// Adopt the trace ring's drop count so metrics exports flag
-			// xentrace data loss alongside the span-drop counter.
-			r.RegisterCounter(v.Trace.dropped, "xen", "trace_ring_dropped_total")
-		}
 		v.obsCache.Store(h)
 	}
 	return h
+}
+
+// traceInstant records a point event under the span open on c (no-op
+// without a collector).
+func (v *VMM) traceInstant(c *hw.CPU, name string, arg uint64) {
+	if h := v.tel(); h != nil {
+		h.col.Tracer.Instant(c.ID, c.Now(), name, arg)
+	}
 }
 
 // NoteDoorbell feeds the ring-doorbell instruments: one event-index
@@ -214,17 +214,11 @@ func Boot(m *hw.Machine) (*VMM, error) {
 		Domains:  make(map[DomID]*Domain),
 		Reserved: res,
 		Store:    NewXenStore(),
-		Trace:    NewTraceBuffer(0),
 		cur:      make([][]*Domain, len(m.CPUs)),
 	}
 	lo, hi := res.Range()
 	for pfn := lo; pfn < hi; pfn++ {
 		v.FT.SetOwner(pfn, DomVMM)
-	}
-	if col := m.Telemetry(); col != nil {
-		// Adopt the trace ring's drop count at boot, before any other
-		// path can get-or-create the identity with a detached counter.
-		col.Registry.RegisterCounter(v.Trace.dropped, "xen", "trace_ring_dropped_total")
 	}
 	v.GDT = hw.NewGDT("vmm", hw.PL1) // guests run deprivileged at PL1
 	v.IDT = hw.NewIDT("vmm")
@@ -473,7 +467,6 @@ func (v *VMM) runInDomain(c *hw.CPU, d *Domain, fn func()) {
 	c.Charge(v.M.Costs.DomSchedLatency)
 	c.Charge(v.M.Costs.DomSwitch)
 	v.Stats.DomSwitches.Add(1)
-	v.traceEmit(c, TrcDomSwitch, d, 0)
 	v.cur[c.ID] = append(v.cur[c.ID], d)
 	fn()
 	v.cur[c.ID] = v.cur[c.ID][:len(v.cur[c.ID])-1]
@@ -495,68 +488,36 @@ func (v *VMM) lockMMU(c *hw.CPU) {
 // unlockMMU releases the page-table lock.
 func (v *VMM) unlockMMU() { v.mmuMu.Unlock() }
 
-// enter is the hypercall prologue: a world switch into the VMM at PL0.
-// The returned closure is the epilogue. Usage: defer v.enter(c, d)().
-//
-// With a collector installed the epilogue also records the hypercall's
-// full latency (prologue charge through body) into the cycle histogram
-// and attributes a "xen/hypercall" span to whatever span is open on
-// this CPU — a mode-switch phase, a backend event, a benchmark loop.
-func (v *VMM) enter(c *hw.CPU, d *Domain) func() {
-	h := v.tel()
-	var start hw.Cycles
-	if h != nil {
-		start = c.Now()
-	}
-	c.Charge(v.M.Costs.WorldSwitch + v.M.Costs.HypercallBase)
-	v.Stats.Hypercalls.Add(1)
-	v.traceEmit(c, TrcHypercall, d, 0)
-	if d != nil {
-		d.Stats.Hypercalls.Add(1)
-	}
-	prev := c.SetMode(hw.PL0)
-	if h == nil {
-		return func() { c.SetMode(prev) }
-	}
-	id := uint64(0xFFFE)
-	if d != nil {
-		id = uint64(d.ID)
-	}
-	return func() {
-		c.SetMode(prev)
-		end := c.Now()
-		h.hypercalls.Inc()
-		h.hypercallCyc.Observe(end - start)
-		h.col.Tracer.Complete(c.ID, start, end, "xen/hypercall", id)
-	}
-}
-
-// hcFrame is the state enterFast hands to exitFast. It lives on the
-// caller's stack: unlike enter's closure, the fast prologue/epilogue
-// pair performs no heap allocation, which is what lets the PTE-write
-// and multicall hot paths pass their AllocsPerRun gates.
+// hcFrame is the state enter hands to exit. It lives on the caller's
+// stack, so the prologue/epilogue pair performs no heap allocation.
 type hcFrame struct {
 	prev  uint8
 	start hw.Cycles
 	h     *vmmObs
+	sp    obs.SpanRef
 }
 
-// enterFast is the allocation-free hypercall prologue. Usage:
+// enter is the hypercall prologue: a world switch into the VMM at PL0.
+// Usage:
 //
-//	fr := v.enterFast(c, d)
-//	defer v.exitFast(c, d, fr)
+//	fr := v.enter(c, d)
+//	defer v.exit(c, d, fr)
 //
-// The plain defer (no closure capture beyond the arguments) is
-// open-coded by the compiler, so the pair charges and records exactly
-// what enter does without touching the heap.
-func (v *VMM) enterFast(c *hw.CPU, d *Domain) hcFrame {
+// The plain defer (no closure) is open-coded by the compiler, so the
+// pair never touches the heap.
+//
+// With a collector installed, enter opens an "xen/hypercall" span under
+// whatever span is open on this CPU — a mode-switch phase, a backend
+// event, a benchmark loop — so the instants the body records (pins,
+// event sends) nest under their hypercall.
+func (v *VMM) enter(c *hw.CPU, d *Domain) hcFrame {
 	fr := hcFrame{h: v.tel()}
 	if fr.h != nil {
 		fr.start = c.Now()
+		fr.sp = fr.h.col.Tracer.Begin(c.ID, fr.start, "xen/hypercall")
 	}
 	c.Charge(v.M.Costs.WorldSwitch + v.M.Costs.HypercallBase)
 	v.Stats.Hypercalls.Add(1)
-	v.traceEmit(c, TrcHypercall, d, 0)
 	if d != nil {
 		d.Stats.Hypercalls.Add(1)
 	}
@@ -564,8 +525,10 @@ func (v *VMM) enterFast(c *hw.CPU, d *Domain) hcFrame {
 	return fr
 }
 
-// exitFast is the epilogue matching enterFast.
-func (v *VMM) exitFast(c *hw.CPU, d *Domain, fr hcFrame) {
+// exit is the hypercall epilogue. With a collector installed it records
+// the hypercall's full latency (prologue charge through body) into the
+// cycle histogram and closes the span with the caller's domain ID.
+func (v *VMM) exit(c *hw.CPU, d *Domain, fr hcFrame) {
 	c.SetMode(fr.prev)
 	if fr.h == nil {
 		return
@@ -577,5 +540,5 @@ func (v *VMM) exitFast(c *hw.CPU, d *Domain, fr hcFrame) {
 	if d != nil {
 		id = uint64(d.ID)
 	}
-	fr.h.col.Tracer.Complete(c.ID, fr.start, end, "xen/hypercall", id)
+	fr.sp.EndArg(end, id)
 }
